@@ -4,16 +4,16 @@ Fourier spectra, spectral property checks, and harmonic reconstruction."""
 __version__ = "0.1.0"
 
 from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
-                       ReconstructionResult, SpiralPoint, detect_peaks,
-                       fermat_spiral, frequency_ratio_series, pnt_ratio,
-                       reciprocal_series, reconstruct)
+                       ReconstructionResult, detect_peaks, fermat_spiral,
+                       frequency_ratio_series, pnt_ratio, reciprocal_series,
+                       reconstruct)
 from .grid import GridSpec, MangoldtSeries, build_series, sample_index
 from .numtheory import (DomainError, EventKind, EventSequence, EventSource,
-                        MissedZeroError, ZeroTableError, ZetaZero, find_zeros,
-                        label_zeros, load_zeros, riemann_siegel_Z,
-                        riemann_siegel_theta, sieve_primes, synthetic_train,
-                        zero_count_estimate, zeta_half)
-from .spectral import (BinPolar, ParsevalReport, PeriodicityReport, Spectrum,
+                        MissedZeroError, ZeroTableError, find_zeros,
+                        load_zeros, riemann_siegel_Z, riemann_siegel_theta,
+                        sieve_primes, synthetic_train, zero_count_estimate,
+                        zeta_half)
+from .spectral import (ParsevalReport, PeriodicityReport, Spectrum,
                        SymmetryReport, amplitude_phase,
                        conjugate_symmetry_check, dft, dft_direct, dft_values,
                        idft, idft_complex, parseval_check, periodicity_check)
@@ -22,19 +22,18 @@ __all__ = [
     "__version__",
     # numtheory
     "DomainError", "MissedZeroError", "ZeroTableError",
-    "EventKind", "EventSource", "EventSequence", "ZetaZero",
+    "EventKind", "EventSource", "EventSequence",
     "sieve_primes", "synthetic_train", "zeta_half", "riemann_siegel_theta",
-    "riemann_siegel_Z", "find_zeros", "label_zeros", "load_zeros",
-    "zero_count_estimate",
+    "riemann_siegel_Z", "find_zeros", "load_zeros", "zero_count_estimate",
     # grid
     "GridSpec", "MangoldtSeries", "sample_index", "build_series",
     # spectral
-    "Spectrum", "BinPolar", "PeriodicityReport", "SymmetryReport",
+    "Spectrum", "PeriodicityReport", "SymmetryReport",
     "ParsevalReport", "dft", "dft_values", "dft_direct", "idft",
     "idft_complex", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis
-    "FrequencyRatioReport", "ReciprocalReport", "SpiralPoint", "PeakReport",
+    "FrequencyRatioReport", "ReciprocalReport", "PeakReport",
     "ReconstructionResult", "frequency_ratio_series", "reciprocal_series",
     "fermat_spiral", "detect_peaks", "reconstruct", "pnt_ratio",
 ]

@@ -14,7 +14,6 @@ from .spectral import Spectrum, idft_complex
 __all__ = [
     "FrequencyRatioReport",
     "ReciprocalReport",
-    "SpiralPoint",
     "PeakReport",
     "ReconstructionResult",
     "frequency_ratio_series",
@@ -60,16 +59,6 @@ class ReciprocalReport:
 
 
 @dataclass(frozen=True)
-class SpiralPoint:
-    """Frequency plotted at angle f and radius f: (f cos f, f sin f)."""
-
-    frequency: float
-    x: float
-    y: float
-    radius: float
-
-
-@dataclass(frozen=True)
 class PeakReport:
     """A dominant spectral line; its reciprocal frequency is the event gap
     that would produce it."""
@@ -83,7 +72,7 @@ class PeakReport:
 @dataclass(frozen=True)
 class ReconstructionResult:
     terms_used: int
-    bin_indices: tuple[int, ...]
+    bin_indices: np.ndarray  # ascending, closed under l -> (N - l) % N
     values: np.ndarray
     max_abs_error: float
     rms_error: float
@@ -122,14 +111,11 @@ def reciprocal_series(spectrum: Spectrum) -> ReciprocalReport:
     )
 
 
-def fermat_spiral(spectrum: Spectrum) -> list[SpiralPoint]:
-    """One spiral point per bin, radius equal to the bin frequency."""
-    points = []
-    for f in spectrum.frequencies:
-        f = float(f)
-        points.append(SpiralPoint(frequency=f, x=f * math.cos(f),
-                                  y=f * math.sin(f), radius=f))
-    return points
+def fermat_spiral(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Columns x = f cos f and y = f sin f: each bin frequency f plotted at
+    angle f and radius f."""
+    f = spectrum.frequencies
+    return f * np.cos(f), f * np.sin(f)
 
 
 def detect_peaks(spectrum: Spectrum,
@@ -153,24 +139,15 @@ def detect_peaks(spectrum: Spectrum,
         return []
     floor = threshold_fraction * ceiling
     margin = 1e-12 * ceiling  # flat spectra carry roundoff-level wiggle
-    peaks = []
-    for l in range(1, n // 2 + 1):
-        left, right = amp[l - 1], amp[(l + 1) % n]
-        if amp[l] > left + margin and amp[l] > right + margin and amp[l] >= floor:
-            f = float(spectrum.frequencies[l])
-            peaks.append(PeakReport(bin_index=l, frequency=f,
-                                    amplitude=float(amp[l]),
-                                    implied_gap=1.0 / f))
-    peaks.sort(key=lambda p: (-p.amplitude, p.bin_index))
-    return peaks
-
-
-def _paired(indices: set[int], n: int) -> set[int]:
-    # close under conjugate partners so the partial sum stays real
-    out = set(indices)
-    for l in indices:
-        out.add((n - l) % n)
-    return out
+    half = n // 2
+    mid = amp[1:half + 1]
+    hits = 1 + np.flatnonzero((mid > amp[:half] + margin)
+                              & (mid > amp[2:half + 2] + margin)
+                              & (mid >= floor))
+    hits = hits[np.lexsort((hits, -amp[hits]))]
+    return [PeakReport(bin_index=int(l), frequency=f, amplitude=float(amp[l]),
+                       implied_gap=1.0 / f)
+            for l, f in zip(hits, spectrum.frequencies[hits].tolist())]
 
 
 def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
@@ -195,15 +172,11 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
 
     # amplitude descending, ties to the lower bin index
     order = np.lexsort((np.arange(n), -np.abs(spectrum.bins)))
-    chosen = _paired(set(int(l) for l in order[:k]), n)
-
-    if len(chosen) == n:
-        recon = idft_complex(spectrum).real
-    else:
-        kk = np.arange(n, dtype=float)
-        recon = np.zeros(n)
-        for l in sorted(chosen):
-            recon += (spectrum.bins[l] * np.exp(2j * np.pi * l * kk / n)).real / n
+    chosen = np.zeros(n, dtype=bool)
+    chosen[order[:k]] = True
+    # close under conjugate partners so the partial sum stays real
+    chosen[(n - order[:k]) % n] = True
+    recon = np.fft.ifft(np.where(chosen, spectrum.bins, 0.0)).real
 
     if original is None:
         target = idft_complex(spectrum).real
@@ -214,7 +187,7 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
     resid = recon - target
     return ReconstructionResult(
         terms_used=k,
-        bin_indices=tuple(sorted(chosen)),
+        bin_indices=np.flatnonzero(chosen),
         values=recon,
         max_abs_error=float(np.max(np.abs(resid))),
         rms_error=float(np.sqrt(np.mean(resid ** 2))),

@@ -3,7 +3,8 @@
 Every figure-worthy intermediate is emitted as CSV; a JSON manifest records
 the emitted files, row counts, property-check verdicts and versions. Logs go
 to stderr, data only to files. Exit status: 0 all checks pass, 1 a check
-failed, 2 bad usage.
+failed, 2 bad usage or input (one stderr line, reported before the output
+directory is created).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,11 @@ from .emit import (write_manifest, write_peaks_csv, write_pnt_csv,
                    write_ratios_csv, write_recon_csv, write_series_csv,
                    write_spectrum_csv, write_spiral_csv)
 from .grid import GridSpec, MangoldtSeries, build_series
-from .numtheory import (EventKind, EventSequence, EventSource, find_zeros,
-                        load_zeros, sieve_primes, synthetic_train)
-from .spectral import (conjugate_symmetry_check, dft, direct_bins,
-                       parseval_check, periodicity_check)
+from .numtheory import (DomainError, EventKind, EventSequence, EventSource,
+                        ZeroTableError, find_zeros, load_zeros, sieve_primes,
+                        synthetic_train)
+from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
+                       periodicity_check)
 
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
@@ -98,27 +100,30 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _build_events(config: RunConfig) -> EventSequence:
+def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
+    """The run's events and a one-line description of where they came from."""
     if config.source == "zeros-computed":
         t_max = config.t_max if config.t_max is not None else 100.0
-        _log(f"computing zeta zeros up to t = {t_max}")
-        return find_zeros(0.0, t_max)
+        return find_zeros(0.0, t_max), f"zeta zeros computed up to t = {t_max}"
     if config.source == "zeros-file":
-        _log(f"loading zeros from {config.zero_file}")
-        events = load_zeros(config.zero_file)
+        try:
+            events = load_zeros(config.zero_file)
+        except OSError as exc:
+            raise ConfigError(f"cannot read zero file: {exc}") from None
+        what = f"zeros loaded from {config.zero_file}"
         if config.t_max is None:
-            return events
+            return events, what
         keep = events.events[events.events <= config.t_max]
-        return EventSequence(keep, EventKind.ZETA_ZEROS, EventSource.FILE)
+        return (EventSequence(keep, EventKind.ZETA_ZEROS, EventSource.FILE),
+                f"{what}, clipped at t = {config.t_max}")
     if config.source == "primes":
-        _log(f"sieving primes up to {config.limit}")
-        return sieve_primes(config.limit)
+        return sieve_primes(config.limit), f"primes up to {config.limit}"
     if config.length is not None:
         top = (config.length - 1) * config.delta
     else:
         top = config.t_max if config.t_max is not None else 100.0
-    _log(f"synthetic impulse train, gap {config.gap}, up to {top}")
-    return synthetic_train(config.gap, top)
+    return (synthetic_train(config.gap, top),
+            f"synthetic impulse train, gap {config.gap}, up to {top}")
 
 
 def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
@@ -146,19 +151,26 @@ def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
 def run(config: RunConfig) -> int:
     """Execute the pipeline; returns the process exit status."""
     config.validate()
+    events, what = _build_events(config)
+    if config.length is not None:
+        grid = GridSpec(delta=config.delta, length=config.length)
+    else:
+        grid = GridSpec.for_events(events, delta=config.delta)
+    if "ratios" in config.emit and grid.length < 3:
+        raise ConfigError(f"ratios need at least 3 samples, the grid has "
+                          f"{grid.length}")
+    if "recon" in config.emit and config.k_terms != "all" \
+            and config.k_terms > grid.length:
+        raise ConfigError(f"k-terms {config.k_terms} exceeds the "
+                          f"{grid.length} bins of the grid")
+    _log(what)
+    _log(f"{len(events)} events on a grid of {grid.length} samples "
+         f"(delta {grid.delta})")
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
-
-    events = _build_events(config)
-    if config.length is not None:
-        grid = GridSpec(delta=config.delta, length=config.length)
-    else:
-        grid = GridSpec.for_events(events, delta=config.delta)
-    _log(f"{len(events)} events on a grid of {grid.length} samples "
-         f"(delta {grid.delta})")
 
     series = build_series(events, grid)
     spectrum = dft(series)
@@ -176,8 +188,8 @@ def run(config: RunConfig) -> int:
         emitted("spectrum.csv",
                 write_spectrum_csv(out_dir / "spectrum.csv", spectrum))
     if "spiral" in config.emit:
-        emitted("spiral.csv",
-                write_spiral_csv(out_dir / "spiral.csv", fermat_spiral(spectrum)))
+        emitted("spiral.csv", write_spiral_csv(out_dir / "spiral.csv", spectrum,
+                                               fermat_spiral(spectrum)))
     if "peaks" in config.emit:
         peaks = detect_peaks(spectrum, config.threshold_fraction)
         emitted("peaks.csv", write_peaks_csv(out_dir / "peaks.csv", peaks))
@@ -237,18 +249,43 @@ def _selftest_fixtures() -> list[MangoldtSeries]:
     rng = np.random.default_rng(20240917)
     fixtures = []
     for n in (64, 97):
-        marks = np.sort(rng.choice(n, size=n // 6, replace=False))
         values = np.zeros(n)
-        values[marks] = 1.0
+        values[rng.choice(n, size=n // 6, replace=False)] = 1.0
         fixtures.append(MangoldtSeries(values=values,
-                                       grid=GridSpec(delta=1.0, length=n),
-                                       marked_indices=frozenset(int(m) for m in marks)))
+                                       grid=GridSpec(delta=1.0, length=n)))
     train = np.zeros(60)
     train[::6] = 1.0
     fixtures.append(MangoldtSeries(values=train,
-                                   grid=GridSpec(delta=0.5, length=60),
-                                   marked_indices=frozenset(range(0, 60, 6))))
+                                   grid=GridSpec(delta=0.5, length=60)))
     return fixtures
+
+
+SELFTEST_BOUNDS = {"round_trip": 1e-9, "periodicity": 1e-9, "symmetry": 1e-9,
+                   "parseval": 1e-9, "spiral": 1e-12}
+# the bin a corrupted spectrum-level suite perturbs by 1e-3
+SELFTEST_FAULT_BIN = {"round_trip": 3, "symmetry": 2, "parseval": 4}
+
+
+def _suite_error(suite: str, series: MangoldtSeries, corrupt: bool) -> float:
+    spectrum = dft(series)
+    if corrupt and suite in SELFTEST_FAULT_BIN:
+        bins = spectrum.bins.copy()
+        bins[SELFTEST_FAULT_BIN[suite]] += 1e-3
+        spectrum = replace(spectrum, bins=bins)
+    if suite == "round_trip":
+        return float(np.max(np.abs(idft(spectrum) - series.values)))
+    if suite == "periodicity":
+        # the identity holds for integer shift multiples only
+        z_values = [1, 2, 3.001] if corrupt else [1, 2, 3]
+        return max(r.max_abs_diff for r in periodicity_check(series, z_values))
+    if suite == "symmetry":
+        return conjugate_symmetry_check(spectrum).max_asymmetry
+    if suite == "parseval":
+        return parseval_check(series, spectrum).rel_error
+    x, y = fermat_spiral(spectrum)
+    if corrupt:
+        x[5] += 1e-3
+    return float(np.max(np.abs(x ** 2 + y ** 2 - spectrum.frequencies ** 2)))
 
 
 def selftest(corrupt: str | None = None) -> int:
@@ -258,69 +295,14 @@ def selftest(corrupt: str | None = None) -> int:
     must report a failure (used to verify the detectors themselves).
     """
     fixtures = _selftest_fixtures()
-    tol = 1e-9
     failures = []
-
-    def verdict(name: str, max_err: float, bound: float) -> None:
-        ok = max_err < bound
+    for suite, bound in SELFTEST_BOUNDS.items():
+        err = max(_suite_error(suite, s, suite == corrupt) for s in fixtures)
+        ok = err < bound
         if not ok:
-            failures.append(name)
-        print(f"{name}: {'pass' if ok else 'FAIL'} (max error {max_err:.3e}, "
+            failures.append(suite)
+        print(f"{suite}: {'pass' if ok else 'FAIL'} (max error {err:.3e}, "
               f"bound {bound:.1e})")
-
-    err = 0.0
-    for s in fixtures:
-        spec = dft(s)
-        bins = spec.bins.copy()
-        if corrupt == "round_trip":
-            bins[3] += 1e-3
-        back = np.fft.ifft(bins).real
-        err = max(err, float(np.max(np.abs(back - s.values))))
-    verdict("round_trip", err, tol)
-
-    err = 0.0
-    for s in fixtures:
-        base = direct_bins(s.values, np.arange(s.grid.length, dtype=float))
-        if corrupt == "periodicity":
-            base[1] += 1e-3
-        for z in (1, 2, 3):
-            shifted = direct_bins(
-                s.values, np.arange(s.grid.length, dtype=float) + z * s.grid.length)
-            err = max(err, float(np.max(np.abs(shifted - base))))
-    verdict("periodicity", err, tol)
-
-    err = 0.0
-    for s in fixtures:
-        spec = dft(s)
-        bins = spec.bins.copy()
-        if corrupt == "symmetry":
-            bins[2] += 1e-3
-        amp = np.abs(bins)[1:]
-        err = max(err, float(np.max(np.abs(amp - amp[::-1]))))
-    verdict("symmetry", err, tol)
-
-    err = 0.0
-    for s in fixtures:
-        spec = dft(s)
-        bins = spec.bins.copy()
-        if corrupt == "parseval":
-            bins[4] += 1e-3
-        lhs = float(np.sum(s.values ** 2))
-        rhs = float(np.sum(np.abs(bins) ** 2) / bins.size)
-        err = max(err, abs(lhs - rhs) / max(lhs, 1.0))
-    verdict("parseval", err, tol)
-
-    err = 0.0
-    for s in fixtures:
-        points = fermat_spiral(dft(s))
-        if corrupt == "spiral":
-            p = points[5]
-            points[5] = type(p)(frequency=p.frequency, x=p.x + 1e-3, y=p.y,
-                                radius=p.radius)
-        for p in points:
-            err = max(err, abs(p.x ** 2 + p.y ** 2 - p.frequency ** 2))
-    verdict("spiral", err, 1e-12)
-
     if failures:
         print(f"selftest FAILED: {', '.join(failures)}")
         return 1
@@ -419,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return run(config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, ZeroTableError) as exc:
         _log(f"usage error: {exc}")
         return 2
 

@@ -1,23 +1,26 @@
 """CSV and manifest emission.
 
-All numeric cells are written with 15 significant digits, '.' decimal
-separator and LF line endings, so repeated runs with one configuration are
-byte-identical and diffable.
+Every CSV is written from numpy columns, CHUNK_ROWS rows at a time, so a
+file's formatted text is never held in memory at once. Numeric cells carry
+15 significant digits ("%.15g"), '.' decimal separator and LF line endings,
+so repeated runs with one configuration are byte-identical and diffable.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
-                       ReconstructionResult, SpiralPoint)
+                       ReconstructionResult)
 from .grid import MangoldtSeries
 from .spectral import Spectrum, amplitude_phase
 
 __all__ = [
-    "fmt",
     "write_series_csv",
     "write_spectrum_csv",
     "write_spiral_csv",
@@ -28,74 +31,83 @@ __all__ = [
     "write_manifest",
 ]
 
-
-def fmt(value: float) -> str:
-    """One numeric cell: 15 significant digits, no exponent surprises."""
-    return format(float(value), ".15g")
+CHUNK_ROWS = 16384
 
 
-def _write_rows(path: Path, header: str, rows: Iterable[str]) -> int:
-    count = 0
+def _rows(row_format: str, *columns: np.ndarray) -> Iterator[str]:
+    """Equal-length columns formatted row by row, one string per chunk."""
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        cells = (c[start:start + CHUNK_ROWS].tolist() for c in columns)
+        yield "".join(row_format % row for row in zip(*cells))
+
+
+def _write_csv(path: Path, header: str, chunks: Iterable[str]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-            count += 1
-    return count
+        fh.writelines(chunks)
 
 
 def write_series_csv(path: Path, series: MangoldtSeries) -> int:
     grid = series.grid
-    rows = (f"{i},{fmt(grid.origin + i * grid.delta)},{fmt(v)}"
-            for i, v in enumerate(series.values))
-    return _write_rows(path, "index,location,value", rows)
+    _write_csv(path, "index,location,value",
+               _rows("%d,%.15g,%.15g\n", np.arange(grid.length),
+                     grid.locations(), series.values))
+    return grid.length
 
 
 def write_spectrum_csv(path: Path, spectrum: Spectrum) -> int:
-    polar = amplitude_phase(spectrum)
-    rows = (
-        f"{l},{fmt(p.frequency)},{fmt(b.real)},{fmt(b.imag)},"
-        f"{fmt(p.amplitude)},{fmt(p.phase)}"
-        for l, (b, p) in enumerate(zip(spectrum.bins, polar))
-    )
-    return _write_rows(path, "l,frequency,re,im,amplitude,phase", rows)
+    amplitude, phase = amplitude_phase(spectrum)
+    bins = spectrum.bins
+    _write_csv(path, "l,frequency,re,im,amplitude,phase",
+               _rows("%d,%.15g,%.15g,%.15g,%.15g,%.15g\n",
+                     np.arange(bins.size), spectrum.frequencies, bins.real,
+                     bins.imag, amplitude, phase))
+    return bins.size
 
 
-def write_spiral_csv(path: Path, points: list[SpiralPoint]) -> int:
-    rows = (f"{l},{fmt(p.frequency)},{fmt(p.x)},{fmt(p.y)}"
-            for l, p in enumerate(points))
-    return _write_rows(path, "l,f,x,y", rows)
+def write_spiral_csv(path: Path, spectrum: Spectrum,
+                     spiral: tuple[np.ndarray, np.ndarray]) -> int:
+    """Spiral columns (x, y) as returned by analysis.fermat_spiral."""
+    x, y = spiral
+    _write_csv(path, "l,f,x,y",
+               _rows("%d,%.15g,%.15g,%.15g\n", np.arange(x.size),
+                     spectrum.frequencies, x, y))
+    return x.size
 
 
 def write_peaks_csv(path: Path, peaks: list[PeakReport]) -> int:
-    rows = (f"{p.bin_index},{fmt(p.frequency)},{fmt(p.amplitude)},"
-            f"{fmt(p.implied_gap)}" for p in peaks)
-    return _write_rows(path, "l,f,amplitude,implied_gap", rows)
+    _write_csv(path, "l,f,amplitude,implied_gap",
+               ["%d,%.15g,%.15g,%.15g\n"
+                % (p.bin_index, p.frequency, p.amplitude, p.implied_gap)
+                for p in peaks])
+    return len(peaks)
 
 
 def write_recon_csv(path: Path, series: MangoldtSeries,
                     result: ReconstructionResult) -> int:
-    rows = (
-        f"{n},{fmt(orig)},{fmt(rec)},{fmt(abs(rec - orig))}"
-        for n, (orig, rec) in enumerate(zip(series.values, result.values))
-    )
-    return _write_rows(path, "n,original,reconstructed,abs_error", rows)
+    original, rec = series.values, result.values
+    _write_csv(path, "n,original,reconstructed,abs_error",
+               _rows("%d,%.15g,%.15g,%.15g\n", np.arange(original.size),
+                     original, rec, np.abs(rec - original)))
+    return original.size
 
 
 def write_ratios_csv(path: Path, ratios: FrequencyRatioReport,
                      reciprocals: ReciprocalReport) -> int:
     # reciprocals run one index further than ratios; the last ratio cell is empty
-    def rows():
-        for i, recip in enumerate(reciprocals.reciprocals):
-            t = i + 1
-            ratio = fmt(ratios.ratios[i]) if i < ratios.ratios.size else ""
-            yield f"{t},{ratio},{fmt(recip)}"
-    return _write_rows(path, "t,ratio,reciprocal", rows())
+    recips = reciprocals.reciprocals
+    t = np.arange(1, recips.size + 1)
+    m = ratios.ratios.size
+    _write_csv(path, "t,ratio,reciprocal",
+               chain(_rows("%d,%.15g,%.15g\n", t[:m], ratios.ratios, recips[:m]),
+                     _rows("%d,,%.15g\n", t[m:], recips[m:])))
+    return recips.size
 
 
 def write_pnt_csv(path: Path, checkpoints: list[tuple[int, int, float]]) -> int:
-    rows = (f"{x},{count},{fmt(ratio)}" for x, count, ratio in checkpoints)
-    return _write_rows(path, "x,prime_count,ratio", rows)
+    _write_csv(path, "x,prime_count,ratio",
+               ["%d,%d,%.15g\n" % row for row in checkpoints])
+    return len(checkpoints)
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

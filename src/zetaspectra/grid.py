@@ -48,45 +48,45 @@ class GridSpec:
         return self.length * self.delta
 
 
+def _nearest_indices(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # floor((x - origin)/delta + 0.5) per location; out-of-range ones dropped
+    idx = np.floor((np.asarray(x, dtype=float) - grid.origin) / grid.delta + 0.5)
+    return idx[(idx >= 0) & (idx < grid.length)].astype(np.intp)
+
+
 def sample_index(x: float, grid: GridSpec) -> int | None:
     """Nearest sample index for location x, ties rounded half-up.
 
     Returns None when the nearest index falls outside 0..length-1.
     """
-    idx = math.floor((x - grid.origin) / grid.delta + 0.5)
-    if idx < 0 or idx >= grid.length:
-        return None
-    return idx
+    idx = _nearest_indices([x], grid)
+    return int(idx[0]) if idx.size else None
 
 
 @dataclass(frozen=True)
 class MangoldtSeries:
-    """Indicator series: value 1 at marked sample indices, 0 elsewhere."""
+    """Indicator series: value 1 at marked sample indices, 0 elsewhere.
+
+    The marked indices are np.flatnonzero(values).
+    """
 
     values: np.ndarray
     grid: GridSpec
-    marked_indices: frozenset[int]
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)
         if arr.shape != (self.grid.length,):
             raise ValueError(
                 f"values shape {arr.shape} does not match grid length "
                 f"{self.grid.length}")
-        marked = frozenset(int(i) for i in self.marked_indices)
-        expect = np.zeros(self.grid.length)
-        expect[sorted(marked)] = 1.0
-        if not np.array_equal(arr, expect):
-            raise ValueError("values must be 0/1 with ones exactly at "
-                             "marked_indices")
-        arr = arr.copy()
+        if not np.all((arr == 0.0) | (arr == 1.0)):
+            raise ValueError("values must be 0 or 1")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "marked_indices", marked)
 
     @property
     def mark_count(self) -> int:
-        return len(self.marked_indices)
+        return int(np.count_nonzero(self.values))
 
     def __len__(self) -> int:
         return self.grid.length
@@ -95,15 +95,8 @@ class MangoldtSeries:
 def build_series(events: EventSequence, grid: GridSpec) -> MangoldtSeries:
     """Mark the nearest in-range sample of every event with weight one.
 
-    Marking is a set insert: two events in one cell still give value 1.
+    Two events in one cell still give value 1.
     """
-    marked = set()
-    for x in events:
-        idx = sample_index(float(x), grid)
-        if idx is not None:
-            marked.add(idx)
     values = np.zeros(grid.length)
-    if marked:
-        values[sorted(marked)] = 1.0
-    return MangoldtSeries(values=values, grid=grid,
-                          marked_indices=frozenset(marked))
+    values[_nearest_indices(events.events, grid)] = 1.0
+    return MangoldtSeries(values=values, grid=grid)

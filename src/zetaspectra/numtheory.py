@@ -17,13 +17,13 @@ asymptotic phase series contributes ~6e-9).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import loggamma
 
 __all__ = [
     "DomainError",
@@ -32,14 +32,12 @@ __all__ = [
     "EventKind",
     "EventSource",
     "EventSequence",
-    "ZetaZero",
     "sieve_primes",
     "synthetic_train",
     "zeta_half",
     "riemann_siegel_theta",
     "riemann_siegel_Z",
     "find_zeros",
-    "label_zeros",
     "load_zeros",
     "zero_count_estimate",
 ]
@@ -94,17 +92,6 @@ class EventSequence:
     def __len__(self) -> int:
         return int(self.events.size)
 
-    def __iter__(self):
-        return iter(self.events)
-
-
-@dataclass(frozen=True)
-class ZetaZero:
-    """One critical-line zero ordinate with its 1-based rank."""
-
-    ordinate: float
-    index: int
-
 
 # ---------------------------------------------------------------------------
 # Primes
@@ -137,7 +124,7 @@ def synthetic_train(gap: float, t_max: float) -> EventSequence:
 # zeta(1/2 + i t) by Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
 
-# B_{2k} / (2k)! for k = 1..12; the tail corrections below use them.
+# Bernoulli numbers B_{2k} as (numerator, denominator) for k = 1..12.
 _BERNOULLI_RATIOS = [
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
     (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
@@ -199,9 +186,23 @@ def riemann_siegel_theta(t: float) -> float:
             + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3))
 
 
+# B_{2k} / (2k (2k-1)) for k = 1..7: Stirling's series for log Gamma.
+_STIRLING_COEF = [p / q / ((2 * k + 2) * (2 * k + 1))
+                  for k, (p, q) in enumerate(_BERNOULLI_RATIOS[:7])]
+
+
 def _theta_exact(t: float) -> float:
-    # Im log Gamma(1/4 + i t/2) - (t/2) log pi; exact for any t >= 0.
-    return loggamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
+    """Im log Gamma(1/4 + i t/2) - (t/2) log pi, for any t >= 0.
+
+    Stirling's series at w = 1/4 + i t/2 + 10 (|w| >= 10, truncation below
+    1e-16), shifted back by Gamma(w + 1) = w Gamma(w): each of the ten steps
+    subtracts arg(1/4 + k + i t/2).
+    """
+    w = complex(10.25, 0.5 * t)
+    log_gamma = (w - 0.5) * cmath.log(w) - w + sum(
+        c / w ** (2 * k + 1) for k, c in enumerate(_STIRLING_COEF))
+    shift = sum(math.atan2(0.5 * t, 0.25 + k) for k in range(10))
+    return log_gamma.imag - shift - 0.5 * t * math.log(math.pi)
 
 
 # Remainder kernel of the asymptotic formula:
@@ -258,17 +259,17 @@ def _rs_asymptotic(t: float) -> float:
     return main + (-1) ** (m - 1) * tau ** -0.5 * remainder
 
 
-def riemann_siegel_Z(t: float, switch_point: float = 10.0) -> float:
+def riemann_siegel_Z(t: float) -> float:
     """Real Z(t) whose sign changes bracket the critical-line zeros.
 
-    Below switch_point the value is the Euler-Maclaurin zeta times the exact
-    phase factor. Above it the asymptotic phase series is used, with the
+    Below t = 10 the value is the Euler-Maclaurin zeta times the exact phase
+    factor. Above it the asymptotic phase series is used, with the
     Euler-Maclaurin sum up to RS_CROSSOVER and the Riemann-Siegel asymptotic
     formula beyond.
     """
     if t < 0.0:
         raise DomainError(f"Z is evaluated for t >= 0, got {t}")
-    if t < switch_point:
+    if t < 10.0:
         return (np.exp(1j * _theta_exact(t)) * zeta_half(t)).real
     if t < RS_CROSSOVER:
         return (np.exp(1j * riemann_siegel_theta(t)) * zeta_half(t)).real
@@ -350,12 +351,6 @@ def find_zeros(
                 f"{scan_step} is too coarse to separate adjacent zeros")
     return EventSequence(np.array(zeros), EventKind.ZETA_ZEROS,
                          EventSource.COMPUTED)
-
-
-def label_zeros(seq: EventSequence, first_index: int = 1) -> tuple[ZetaZero, ...]:
-    """Attach 1-based ranks (by increasing ordinate) to a zero sequence."""
-    return tuple(ZetaZero(float(t), first_index + i)
-                 for i, t in enumerate(seq.events))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ so the exponent reduces to -i 2 pi l k / N and the frequency axis is in cycles
 per location unit. The inverse carries the +i sign and the 1/N factor. The
 fast path delegates to the FFT; ``dft_direct`` keeps the literal sum as the
 reference route, and ``periodicity_check`` evaluates that sum at shifted
-arguments where the FFT cannot.
+arguments where the FFT cannot. Per-bin quantities (``Spectrum.frequencies``,
+the amplitude and phase from ``amplitude_phase``) are numpy columns indexed
+by bin.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .grid import GridSpec, MangoldtSeries
 
 __all__ = [
     "Spectrum",
-    "BinPolar",
     "PeriodicityReport",
     "SymmetryReport",
     "ParsevalReport",
@@ -46,36 +47,26 @@ class Spectrum:
     bins: np.ndarray
     freq_step: float
     source_grid: GridSpec
-    frequencies: np.ndarray | None = None
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=complex)
+        bins = np.array(self.bins, dtype=complex)
         if bins.shape != (self.source_grid.length,):
             raise ValueError("bin count must equal the source series length")
-        # the axis is l * freq_step by definition; always rebuilt, never trusted
-        freqs = self.freq_step * np.arange(bins.size, dtype=float)
-        bins = bins.copy()
         bins.flags.writeable = False
-        freqs.flags.writeable = False
         object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "frequencies", freqs)
 
     @property
     def nbins(self) -> int:
         return int(self.bins.size)
 
     @property
+    def frequencies(self) -> np.ndarray:
+        """Bin frequencies l * freq_step for l = 0..N-1."""
+        return self.freq_step * np.arange(self.nbins, dtype=float)
+
+    @property
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.bins)
-
-
-@dataclass(frozen=True)
-class BinPolar:
-    """Polar form of one bin: amplitude >= 0, phase in (-pi, pi]."""
-
-    amplitude: float
-    phase: float
-    frequency: float
 
 
 @dataclass(frozen=True)
@@ -162,19 +153,19 @@ def idft(spectrum: Spectrum) -> np.ndarray:
     return idft_complex(spectrum).real
 
 
-def amplitude_phase(spectrum: Spectrum) -> list[BinPolar]:
-    """Polar decomposition per bin; a zero bin gets phase 0 by convention."""
-    out = []
-    for value, freq in zip(spectrum.bins, spectrum.frequencies):
-        amp = abs(value)
-        if amp == 0.0:
-            phase = 0.0
-        else:
-            phase = math.atan2(value.imag, value.real)
-            if phase == -math.pi:
-                phase = math.pi
-        out.append(BinPolar(amplitude=amp, phase=phase, frequency=float(freq)))
-    return out
+def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude and phase columns, one entry per bin.
+
+    Phases lie in (-pi, pi]; a zero bin gets phase 0 by convention. Both
+    columns equal the per-bin abs() and math.atan2 bit for bit, which
+    np.abs and np.arctan2 do not, so printed cells stay stable.
+    """
+    re, im = spectrum.bins.real, spectrum.bins.imag
+    amplitude = np.hypot(re, im)
+    phase = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    phase[phase == -math.pi] = math.pi
+    phase[amplitude == 0.0] = 0.0
+    return amplitude, phase
 
 
 def periodicity_check(series: MangoldtSeries, z_values: list[int],

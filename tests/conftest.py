@@ -29,10 +29,8 @@ ZEROS_BELOW_100_MARKS = (14, 21, 25, 30, 33, 38, 41, 43, 48, 50, 53, 56, 59, 61,
 
 def series_from_values(values, delta=1.0):
     values = np.asarray(values, dtype=float)
-    marked = frozenset(int(i) for i in np.nonzero(values)[0])
     return MangoldtSeries(values=values,
-                          grid=GridSpec(delta=delta, length=values.size),
-                          marked_indices=marked)
+                          grid=GridSpec(delta=delta, length=values.size))
 
 
 def random_indicator(n, rng, density=6):

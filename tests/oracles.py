@@ -87,3 +87,7 @@ def Z_oracle(t: float) -> float:
 
 def Z_mpmath(t: float) -> float:
     return float(mp.siegelz(t))
+
+
+def theta_mpmath(t: float) -> float:
+    return float(mp.siegeltheta(t))

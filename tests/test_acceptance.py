@@ -115,10 +115,10 @@ def test_criterion_07_ratios_and_pnt():
 
 
 def test_criterion_08_spiral(zeros100_series):
-    points = fermat_spiral(dft(zeros100_series))
-    worst = max(abs(p.x ** 2 + p.y ** 2 - p.frequency ** 2) for p in points)
-    radii = [p.radius for p in points]
-    increasing = all(b > a for a, b in zip(radii, radii[1:]))
+    spec = dft(zeros100_series)
+    x, y = fermat_spiral(spec)
+    worst = float(np.max(np.abs(x ** 2 + y ** 2 - spec.frequencies ** 2)))
+    increasing = bool(np.all(np.diff(np.hypot(x, y)) > 0))
     verdict("8 spiral identity", worst < 1e-12 and increasing,
             f"max |x^2+y^2-f^2| {worst:.2e}")
 

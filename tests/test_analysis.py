@@ -102,21 +102,22 @@ def test_spiral_named_angles():
     bins = np.zeros(4, dtype=complex)
     grid = GridSpec(delta=2.0 / (4.0 * math.pi), length=4)
     spec = Spectrum(bins=bins, freq_step=math.pi / 2.0, source_grid=grid)
-    pts = fermat_spiral(spec)
-    assert (pts[0].x, pts[0].y) == (0.0, 0.0)
-    assert pts[1].x == pytest.approx(0.0, abs=1e-12)
-    assert pts[1].y == pytest.approx(math.pi / 2)
-    assert pts[2].x == pytest.approx(-math.pi)
-    assert pts[2].y == pytest.approx(0.0, abs=1e-12)
+    x, y = fermat_spiral(spec)
+    assert (x[0], y[0]) == (0.0, 0.0)
+    assert x[1] == pytest.approx(0.0, abs=1e-12)
+    assert y[1] == pytest.approx(math.pi / 2)
+    assert x[2] == pytest.approx(-math.pi)
+    assert y[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spiral_radius_identity(zeros100_series):
-    pts = fermat_spiral(dft(zeros100_series))
-    for p in pts:
-        assert abs(p.x ** 2 + p.y ** 2 - p.frequency ** 2) < 1e-12
-        assert p.radius == p.frequency
-    radii = [p.radius for p in pts]
-    assert all(b > a for a, b in zip(radii, radii[1:]))
+    spec = dft(zeros100_series)
+    x, y = fermat_spiral(spec)
+    f = spec.frequencies
+    assert np.max(np.abs(x ** 2 + y ** 2 - f ** 2)) < 1e-12
+    radii = np.hypot(x, y)
+    assert np.max(np.abs(radii - f)) < 1e-12
+    assert np.all(np.diff(radii) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_reconstruct_dc_only_constant():
     m = series.mark_count
     result = reconstruct(dft(series), 1, original=series.values)
     assert np.allclose(result.values, m / 50.0, atol=1e-12)
-    assert result.bin_indices == (0,)
+    assert result.bin_indices.tolist() == [0]
 
 
 def test_reconstruct_periodic_train_needs_only_support_bins():
@@ -227,6 +228,23 @@ def test_reconstruct_residual_monotone_in_k():
         assert rms <= last + 1e-12
         last = rms
     assert last < 1e-9
+
+
+def test_reconstruct_partial_sum_matches_term_by_term():
+    series = random_indicator(48, np.random.default_rng(12))
+    spec = dft(series)
+    n = spec.nbins
+    kk = np.arange(n)
+    amp = spec.amplitudes
+    for k in (1, 3, 7, 20):
+        result = reconstruct(spec, k)
+        # the k strongest bins, ties to the lower index, plus their partners
+        top = sorted(range(n), key=lambda l: (-amp[l], l))[:k]
+        assert set(result.bin_indices.tolist()) == (
+            set(top) | {(n - l) % n for l in top})
+        terms = sum((spec.bins[l] * np.exp(2j * np.pi * l * kk / n)).real / n
+                    for l in result.bin_indices)
+        assert np.max(np.abs(result.values - terms)) < 1e-12
 
 
 def test_reconstruct_matches_inverse_transform(zeros100_series):

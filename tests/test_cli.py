@@ -130,6 +130,26 @@ def test_usage_errors_exit_2(tmp_path):
                    str(tmp_path / "y")).returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--source", "synthetic", "--gap", "200", "--length", "50"),
+    ("--source", "zeros-file", "--zero-file", "/nonexistent/zeros.txt"),
+    ("--source", "zeros-file", "--zero-file", "MALFORMED"),
+    ("--t-max", "0.5"),
+    ("--k-terms", "500"),
+], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
+        "k-beyond-grid"])
+def test_bad_input_exits_2_before_any_output(args, tmp_path):
+    table = tmp_path / "zeros.txt"
+    table.write_text("14.1\nnot-a-number\n")
+    args = [str(table) if a == "MALFORMED" else a for a in args]
+    out = tmp_path / "out"
+    cp = run_cli("run", *args, "--out", str(out))
+    assert cp.returncode == 2
+    assert len(cp.stderr.splitlines()) == 1, cp.stderr
+    assert cp.stderr.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_run_config_validation_direct():
     with pytest.raises(ConfigError):
         RunConfig(threshold_fraction=2.0).validate()
@@ -174,3 +194,12 @@ def test_selftest_detects_injected_fault(suite, capsys):
     assert selftest(corrupt=suite) == 1
     out = capsys.readouterr().out
     assert f"selftest FAILED: {suite}" in out
+
+
+def test_cli_import_leaves_scipy_out():
+    cp = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zetaspectra.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"

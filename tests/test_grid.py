@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from conftest import ZEROS_BELOW_100_MARKS, ZEROS_BELOW_100
 def events_of(locations):
     return EventSequence(np.asarray(sorted(locations), dtype=float),
                          EventKind.CUSTOM, EventSource.SYNTHETIC)
+
+
+def marks(series):
+    return np.flatnonzero(series.values).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +79,7 @@ def test_sample_index_with_origin_and_delta():
 # ---------------------------------------------------------------------------
 
 def test_build_series_zeros_to_100(zeros100_series):
-    assert sorted(zeros100_series.marked_indices) == list(ZEROS_BELOW_100_MARKS)
+    assert marks(zeros100_series) == list(ZEROS_BELOW_100_MARKS)
     assert zeros100_series.mark_count == 29
     assert zeros100_series.values.sum() == 29.0
 
@@ -81,25 +87,40 @@ def test_build_series_zeros_to_100(zeros100_series):
 def test_build_series_empty_events():
     empty = EventSequence(np.array([]), EventKind.CUSTOM, EventSource.SYNTHETIC)
     series = build_series(empty, GridSpec(delta=1.0, length=8))
-    assert not series.marked_indices
+    assert series.mark_count == 0
     assert np.all(series.values == 0.0)
 
 
 def test_build_series_nearest_rule_per_event():
     series = build_series(events_of([10.4, 10.6]), GridSpec(delta=1.0, length=16))
-    assert sorted(series.marked_indices) == [10, 11]
+    assert marks(series) == [10, 11]
+
+
+def test_build_series_matches_per_event_rounding():
+    # reference: the nearest-sample rule applied one event at a time,
+    # over exact half-way ties and events beyond the grid
+    rng = np.random.default_rng(17)
+    grid = GridSpec(delta=0.25, length=200, origin=1.0)
+    ties = grid.origin + grid.delta * np.arange(0.5, 250.0)
+    locs = np.unique(np.concatenate([rng.uniform(0.5, 60.0, 300), ties]))
+    want = set()
+    for x in locs.tolist():
+        idx = math.floor((x - grid.origin) / grid.delta + 0.5)
+        if 0 <= idx < grid.length:
+            want.add(idx)
+    assert marks(build_series(events_of(locs), grid)) == sorted(want)
 
 
 def test_build_series_idempotent_marking():
     # both events land in cell 10; the weight stays one
     series = build_series(events_of([10.4, 10.45]), GridSpec(delta=1.0, length=16))
-    assert sorted(series.marked_indices) == [10]
+    assert marks(series) == [10]
     assert series.values[10] == 1.0
 
 
 def test_build_series_out_of_range_events_dropped():
     series = build_series(events_of([3.0, 250.0]), GridSpec(delta=1.0, length=10))
-    assert sorted(series.marked_indices) == [3]
+    assert marks(series) == [3]
 
 
 def test_build_series_set_union_semantics():
@@ -109,14 +130,14 @@ def test_build_series_set_union_semantics():
     whole = build_series(events_of(locs), grid)
     left = build_series(events_of(locs[::2]), grid)
     right = build_series(events_of(locs[1::2]), grid)
-    assert whole.marked_indices == left.marked_indices | right.marked_indices
+    assert set(marks(whole)) == set(marks(left)) | set(marks(right))
 
 
 def test_build_series_mark_count_bounds():
     rng = np.random.default_rng(11)
     locs = np.unique(rng.uniform(0.5, 30.0, size=50))
     series = build_series(events_of(locs), GridSpec(delta=1.0, length=32))
-    assert series.values.sum() == len(series.marked_indices) <= locs.size
+    assert series.values.sum() == series.mark_count <= locs.size
 
 
 @pytest.mark.parametrize("factor", [0.25, 2.0, 3.0])
@@ -128,7 +149,7 @@ def test_build_series_scale_invariance(factor):
     base = build_series(events_of(locs), GridSpec(delta=1.0, length=64))
     scaled = build_series(events_of(locs * factor),
                           GridSpec(delta=factor, length=64))
-    assert scaled.marked_indices == base.marked_indices
+    assert marks(scaled) == marks(base)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +159,10 @@ def test_build_series_scale_invariance(factor):
 def test_series_rejects_non_indicator_values():
     grid = GridSpec(delta=1.0, length=4)
     with pytest.raises(ValueError):
-        MangoldtSeries(values=np.array([0.0, 2.0, 0.0, 0.0]), grid=grid,
-                       marked_indices=frozenset({1}))
-
-
-def test_series_rejects_inconsistent_marks():
-    grid = GridSpec(delta=1.0, length=4)
-    with pytest.raises(ValueError):
-        MangoldtSeries(values=np.array([0.0, 1.0, 0.0, 0.0]), grid=grid,
-                       marked_indices=frozenset({2}))
+        MangoldtSeries(values=np.array([0.0, 2.0, 0.0, 0.0]), grid=grid)
 
 
 def test_series_rejects_wrong_length():
     grid = GridSpec(delta=1.0, length=4)
     with pytest.raises(ValueError):
-        MangoldtSeries(values=np.zeros(5), grid=grid,
-                       marked_indices=frozenset())
+        MangoldtSeries(values=np.zeros(5), grid=grid)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from zetaspectra import (DomainError, EventKind, EventSource, MissedZeroError,
-                         ZeroTableError, find_zeros, label_zeros, load_zeros,
+                         ZeroTableError, find_zeros, load_zeros,
                          riemann_siegel_Z, sieve_primes, synthetic_train,
                          zero_count_estimate, zeta_half)
 
+from zetaspectra.numtheory import _theta_exact
+
 from conftest import ZEROS_BELOW_100
-from oracles import Z_mpmath, Z_oracle, trial_division_primes
+from oracles import Z_mpmath, Z_oracle, theta_mpmath, trial_division_primes
 
 # True zero counts below T (multiprecision oracle), next to what the smooth
 # counting estimate rounds to; they may differ by one, never more.
@@ -99,6 +101,13 @@ def test_asymptotic_path_against_euler_maclaurin_oracle():
     assert worst < 1e-8
 
 
+def test_exact_theta_against_multiprecision():
+    # the Stirling-series phase that Z uses below t = 10
+    worst = max(abs(_theta_exact(float(t)) - theta_mpmath(float(t)))
+                for t in np.linspace(0.0, 10.0, 101))
+    assert worst < 1e-13
+
+
 def test_zeta_half_spot():
     val = zeta_half(0.0)
     assert val.real == pytest.approx(-1.4603545088095868, abs=1e-10)
@@ -178,13 +187,6 @@ def test_find_zeros_domain_errors():
         find_zeros(30.0, 30.0)
     with pytest.raises(DomainError):
         find_zeros(0.0, 30.0, scan_step=0.0)
-
-
-def test_label_zeros():
-    found = find_zeros(0.0, 30.0)
-    labelled = label_zeros(found)
-    assert [z.index for z in labelled] == [1, 2, 3]
-    assert labelled[0].ordinate == pytest.approx(14.134725, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -134,26 +134,42 @@ def test_idft_imag_residue_small_for_real_series():
 
 def test_amplitude_phase_units():
     spec = spectrum_from_bins([1 + 0j, -2j, 0j])
-    polar = amplitude_phase(spec)
-    assert polar[0].amplitude == 1.0 and polar[0].phase == 0.0
-    assert polar[1].amplitude == 2.0
-    assert polar[1].phase == pytest.approx(-math.pi / 2)
-    assert polar[2].amplitude == 0.0 and polar[2].phase == 0.0
+    amplitude, phase = amplitude_phase(spec)
+    assert amplitude[0] == 1.0 and phase[0] == 0.0
+    assert amplitude[1] == 2.0
+    assert phase[1] == pytest.approx(-math.pi / 2)
+    assert amplitude[2] == 0.0 and phase[2] == 0.0
 
 
 def test_amplitude_phase_reproduces_bins():
     series = random_indicator(60, np.random.default_rng(21))
     spec = dft(series)
-    for value, p in zip(spec.bins, amplitude_phase(spec)):
-        assert abs(p.amplitude * np.exp(1j * p.phase) - value) < 1e-12
-        assert -math.pi < p.phase <= math.pi
+    for value, amp, phase in zip(spec.bins, *amplitude_phase(spec)):
+        assert abs(amp * np.exp(1j * phase) - value) < 1e-12
+        assert -math.pi < phase <= math.pi
 
 
 def test_phase_range_half_open():
-    polar = amplitude_phase(spectrum_from_bins([-1 + 0j, complex(-1, -0.0)]))
-    for p in polar:
-        assert p.phase == pytest.approx(math.pi)
-        assert p.phase > -math.pi
+    _, phases = amplitude_phase(spectrum_from_bins([-1 + 0j, complex(-1, -0.0)]))
+    for phase in phases:
+        assert phase == pytest.approx(math.pi)
+        assert phase > -math.pi
+
+
+def test_amplitude_phase_columns_equal_per_bin_math():
+    # The printed cells depend on these bits: np.abs and np.arctan2 differ
+    # from abs() and math.atan2 in the last place on many bins.
+    rng = np.random.default_rng(10 ** 4)
+    bins = rng.normal(size=10 ** 4) + 1j * rng.normal(size=10 ** 4)
+    bins[:4] = [0j, complex(-0.0, 0.0), -1 + 0j, complex(-1, -0.0)]
+    want_amp, want_phase = [], []
+    for value in bins.tolist():
+        phase = math.atan2(value.imag, value.real) if abs(value) else 0.0
+        want_amp.append(abs(value))
+        want_phase.append(math.pi if phase == -math.pi else phase)
+    amplitude, phase = amplitude_phase(spectrum_from_bins(bins))
+    assert np.array_equal(amplitude, want_amp)
+    assert np.array_equal(phase, want_phase)
 
 
 # ---------------------------------------------------------------------------
