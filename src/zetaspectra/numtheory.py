@@ -13,11 +13,16 @@ routes are combined:
 Measured against an independent multiprecision reference, the combined evaluator
 stays within 1e-8 of Z(t) for all t <= 1e4 (worst point is t ~ 10, where the
 asymptotic phase series contributes ~6e-9).
+
+Zeros are found in two passes. The scan evaluates Z on the whole grid in one
+batch (``_z_batch``: the same routes and constants as the scalar
+``riemann_siegel_Z``, as masked matrices of terms in blocks of at most 2^20).
+Each sign change is then refined by safeguarded Illinois regula falsi
+(``_refine``), about five scalar ``riemann_siegel_Z`` calls per zero.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -147,6 +152,26 @@ def _logs(m: int) -> np.ndarray:
     return _log_cache[:m]
 
 
+def _em_cutoff(t):
+    """Summation cutoff M = max(20, ceil(0.8 t)), for one t or an array."""
+    m = np.maximum(20, np.ceil(_EM_M_FACTOR * np.maximum(t, 1.0)))
+    return m.astype(int)
+
+
+def _em_correct(total, s, m):
+    """total plus the Euler-Maclaurin tail after the first m terms of
+    sum n^-s; elementwise on arrays of total, s and m as well as on scalars.
+    """
+    total = total + m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
+    rising = s
+    mpow = m ** (-s - 1.0)
+    for k in range(1, _EM_TERMS + 1):
+        total = total + _EM_COEF[k - 1] * rising * mpow
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
+        mpow = mpow / (m * m)
+    return total
+
+
 def zeta_half(t: float) -> complex:
     """zeta(1/2 + i*t) for real t >= 0.
 
@@ -158,16 +183,18 @@ def zeta_half(t: float) -> complex:
     if t < 0.0:
         raise DomainError(f"zeta_half needs t >= 0, got {t}")
     s = complex(0.5, t)
-    m = max(20, int(math.ceil(_EM_M_FACTOR * max(t, 1.0))))
-    total = complex(np.exp(-s * _logs(m)).sum())
-    total += m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
-    rising = s
-    mpow = m ** (-s - 1.0)
-    for k in range(1, _EM_TERMS + 1):
-        total += _EM_COEF[k - 1] * rising * mpow
-        rising *= (s + (2 * k - 1)) * (s + 2 * k)
-        mpow /= m * m
-    return total
+    m = int(_em_cutoff(t))
+    return _em_correct(complex(np.exp(-s * _logs(m)).sum()), s, m)
+
+
+def _zeta_half_rows(t: np.ndarray) -> np.ndarray:
+    """zeta_half at every t of one block: the terms n > M(t) are masked."""
+    s = 0.5 + 1j * t
+    m = _em_cutoff(t)
+    logs = _logs(int(m.max()))
+    terms = np.exp(np.outer(-s, logs))
+    terms[np.arange(1, logs.size + 1) > m[:, None]] = 0.0
+    return _em_correct(terms.sum(axis=1), s, m)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +209,12 @@ def riemann_siegel_theta(t: float) -> float:
     """
     if t <= 0.0:
         raise DomainError(f"asymptotic theta needs t > 0, got {t}")
-    return ((t / 2.0) * math.log(t / TWO_PI) - t / 2.0 - math.pi / 8.0
+    return _theta_series(t)
+
+
+def _theta_series(t):
+    """riemann_siegel_theta without the domain check, for one t or an array."""
+    return ((t / 2.0) * np.log(t / TWO_PI) - t / 2.0 - math.pi / 8.0
             + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3))
 
 
@@ -191,17 +223,17 @@ _STIRLING_COEF = [p / q / ((2 * k + 2) * (2 * k + 1))
                   for k, (p, q) in enumerate(_BERNOULLI_RATIOS[:7])]
 
 
-def _theta_exact(t: float) -> float:
-    """Im log Gamma(1/4 + i t/2) - (t/2) log pi, for any t >= 0.
+def _theta_exact(t):
+    """Im log Gamma(1/4 + i t/2) - (t/2) log pi, for t >= 0 or an array.
 
     Stirling's series at w = 1/4 + i t/2 + 10 (|w| >= 10, truncation below
     1e-16), shifted back by Gamma(w + 1) = w Gamma(w): each of the ten steps
     subtracts arg(1/4 + k + i t/2).
     """
-    w = complex(10.25, 0.5 * t)
-    log_gamma = (w - 0.5) * cmath.log(w) - w + sum(
+    w = 10.25 + 0.5j * t
+    log_gamma = (w - 0.5) * np.log(w) - w + sum(
         c / w ** (2 * k + 1) for k, c in enumerate(_STIRLING_COEF))
-    shift = sum(math.atan2(0.5 * t, 0.25 + k) for k in range(10))
+    shift = sum(np.arctan2(0.5 * t, 0.25 + k) for k in range(10))
     return log_gamma.imag - shift - 0.5 * t * math.log(math.pi)
 
 
@@ -230,22 +262,19 @@ _PI8 = math.pi ** 8
 RS_CROSSOVER = 1000.0
 
 
-def _psi_derivatives(p: float) -> np.ndarray:
-    w = p + _PSI_CIRCLE
+def _psi_derivatives(p):
+    """Scaled Taylor coefficients d[k] of Psi at p, or at each p of an array
+    (then d[k] is an array over p)."""
+    w = np.asarray(p)[..., None] + _PSI_CIRCLE
     vals = np.cos(TWO_PI * (w * w - w - 1.0 / 16.0)) / np.cos(TWO_PI * w)
-    coefs = np.fft.fft(vals)[:_PSI_ORDER] / _PSI_SAMPLES
-    return (coefs * _PSI_PHASE * _PSI_SCALE).real
+    coefs = np.fft.fft(vals, axis=-1)[..., :_PSI_ORDER] / _PSI_SAMPLES
+    return (coefs * _PSI_PHASE * _PSI_SCALE).real.T
 
 
-def _rs_asymptotic(t: float) -> float:
-    """Riemann-Siegel formula: main sum plus remainder terms C0..C4."""
-    tau = math.sqrt(t / TWO_PI)
-    m = int(tau)
-    p = tau - m
-    theta = riemann_siegel_theta(t)
-    n = np.arange(1, m + 1, dtype=float)
-    main = 2.0 * float((np.cos(theta - t * np.log(n)) / np.sqrt(n)).sum())
-    d = _psi_derivatives(p)
+def _rs_correction(tau, m):
+    """Remainder terms C0..C4 of the Riemann-Siegel formula at
+    tau = sqrt(t/2pi), m = floor(tau); for scalars or arrays of them."""
+    d = _psi_derivatives(tau - m)
     c = (
         d[0],
         -d[3] / (96.0 * _PI2),
@@ -256,7 +285,27 @@ def _rs_asymptotic(t: float) -> float:
         + 11.0 * d[8] / (5898240.0 * _PI6) + d[12] / (2038431744.0 * _PI8),
     )
     remainder = sum(c[k] * tau ** (-k) for k in range(5))
-    return main + (-1) ** (m - 1) * tau ** -0.5 * remainder
+    return (-1) ** (m - 1) * tau ** -0.5 * remainder
+
+
+def _rs_asymptotic(t: float) -> float:
+    """Riemann-Siegel formula: main sum plus remainder terms C0..C4."""
+    tau = math.sqrt(t / TWO_PI)
+    m = int(tau)
+    terms = np.cos(_theta_series(t) - t * _logs(m)) / np.sqrt(
+        np.arange(1, m + 1))
+    return 2.0 * float(terms.sum()) + _rs_correction(tau, m)
+
+
+def _rs_rows(t: np.ndarray) -> np.ndarray:
+    """_rs_asymptotic at every t of one block; terms n > m(t) are masked."""
+    tau = np.sqrt(t / TWO_PI)
+    m = tau.astype(int)
+    logs = _logs(int(m.max()))
+    n = np.arange(1, logs.size + 1)
+    terms = np.cos(_theta_series(t)[:, None] - t[:, None] * logs) / np.sqrt(n)
+    terms[n > m[:, None]] = 0.0
+    return 2.0 * terms.sum(axis=1) + _rs_correction(tau, m)
 
 
 def riemann_siegel_Z(t: float) -> float:
@@ -274,6 +323,44 @@ def riemann_siegel_Z(t: float) -> float:
     if t < RS_CROSSOVER:
         return (np.exp(1j * riemann_siegel_theta(t)) * zeta_half(t)).real
     return _rs_asymptotic(t)
+
+
+# Most complex terms one block of _z_batch holds (16 MiB of complex128), so
+# the batch's working set stays a few blocks wide whatever the grid's size.
+_Z_BLOCK_TERMS = 2 ** 20
+
+
+def _blockwise(rows, t: np.ndarray, terms_per_row: int) -> np.ndarray:
+    """rows(t), evaluated on consecutive blocks of at most _Z_BLOCK_TERMS
+    terms, where each t needs terms_per_row of them."""
+    step = max(1, _Z_BLOCK_TERMS // terms_per_row)
+    parts = [rows(t[i:i + step]) for i in range(0, t.size, step)]
+    return np.concatenate(parts) if parts else t
+
+
+def _z_batch(ts: np.ndarray) -> np.ndarray:
+    """riemann_siegel_Z at every point of ts, by the same routes and constants.
+
+    Each route sums a matrix of terms (one row per t, the terms past the row's
+    cutoff masked), block by block. Sorted input keeps the padding small,
+    since a block is as wide as its largest cutoff.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0.0):
+        raise DomainError(f"Z is evaluated for t >= 0, got {ts.min()}")
+    z = np.empty_like(ts)
+    em = ts < RS_CROSSOVER
+    t = ts[em]
+    low = t < 10.0
+    theta = np.empty_like(t)
+    theta[low] = _theta_exact(t[low])
+    theta[~low] = _theta_series(t[~low])
+    zeta = _blockwise(_zeta_half_rows, t, int(_em_cutoff(t.max(initial=0.0))))
+    z[em] = (np.exp(1j * theta) * zeta).real
+    t = ts[~em]
+    z[~em] = _blockwise(_rs_rows, t, _PSI_SAMPLES + int(
+        math.sqrt(t.max(initial=0.0) / TWO_PI)))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +382,48 @@ def zero_count_estimate(t_max: float) -> int:
     return max(0, int(math.floor(smooth + 0.5)))
 
 
+def _refine(f, a: float, b: float, fa: float, fb: float,
+            width: float) -> tuple[float, float]:
+    """Shrink the bracket [a, b] of a sign change of f to width <= width.
+
+    Needs a < b and fa * fb < 0. Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971): the secant point replaces the end whose value has the same
+    sign, and when one end is kept twice in a row its stored value is halved,
+    so the secant stops crowding the other end; the end with the smaller
+    |f| counts as the latest iterate, so the first step that replaces it
+    already halves the other end's value. Safeguard: when two Illinois
+    steps in a row leave the bracket wider than half its width before them,
+    the next step bisects, so the width halves at least once every three
+    evaluations. Returns the final bracket, which holds the sign change;
+    (x, x) when f(x) == 0 exactly.
+    """
+    kept = "a" if abs(fb) < abs(fa) else "b"  # the end the last step kept
+    start, steps = b - a, 0  # width before the latest Illinois steps; count
+    while b - a > width:
+        bisect = steps == 2
+        x = 0.5 * (a + b) if bisect else a + (b - a) * (fa / (fa - fb))
+        # Once an end sits on the root to rounding, the secant point lands on
+        # that end again; a point width/2 inside it can end the search.
+        x = min(max(x, a + 0.5 * width), b - 0.5 * width)
+        fx = f(x)
+        if fx == 0.0:
+            return x, x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        steps += 1
+        if bisect or b - a <= 0.5 * start:
+            start, steps = b - a, 0
+    return a, b
+
+
 def find_zeros(
     t_min: float,
     t_max: float,
@@ -304,12 +433,16 @@ def find_zeros(
 ) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
-    Each bracket is refined by bisection until its width is <= bisect_width.
-    With count_check the result size is compared against zero_count_estimate;
-    a discrepancy beyond the estimate's intrinsic jitter raises
-    MissedZeroError (the scan step straddled a close pair of zeros). The
-    estimate is good to +-1 per endpoint, so the allowed band is 1 for scans
-    anchored at 0 and 2 otherwise.
+    Z is evaluated on the whole scan grid in one batch. Each bracket is then
+    refined by safeguarded Illinois regula falsi, with scalar
+    riemann_siegel_Z calls, until the bracket holding the sign change is at
+    most bisect_width wide (the name predates the Illinois steps: it is the
+    width of the final bracket); the zero is its midpoint. With count_check the
+    result size is compared against zero_count_estimate; a discrepancy beyond
+    the estimate's intrinsic jitter raises MissedZeroError (the scan step
+    straddled a close pair of zeros). The estimate is good to +-1 per
+    endpoint, so the allowed band is 1 for scans anchored at 0 and 2
+    otherwise.
     """
     if t_min < 0.0 or t_min >= t_max:
         raise DomainError(f"need 0 <= t_min < t_max, got ({t_min}, {t_max})")
@@ -318,19 +451,12 @@ def find_zeros(
 
     n_steps = int(math.ceil((t_max - t_min) / scan_step))
     ts = np.minimum(t_min + scan_step * np.arange(n_steps + 1), t_max)
-    vals = np.array([riemann_siegel_Z(float(t)) for t in ts])
+    vals = _z_batch(ts)
 
     zeros = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa = vals[i]
-        while b - a > bisect_width:
-            mid = 0.5 * (a + b)
-            fm = riemann_siegel_Z(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
+        a, b = _refine(riemann_siegel_Z, float(ts[i]), float(ts[i + 1]),
+                       float(vals[i]), float(vals[i + 1]), bisect_width)
         root = 0.5 * (a + b)
         if t_min < root <= t_max:
             zeros.append(root)

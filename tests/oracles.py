@@ -91,3 +91,13 @@ def Z_mpmath(t: float) -> float:
 
 def theta_mpmath(t: float) -> float:
     return float(mp.siegeltheta(t))
+
+
+def zetazero_mpmath(n: int) -> float:
+    """Ordinate of the n-th zero on the critical line."""
+    return float(mp.zetazero(n).imag)
+
+
+def nzeros_mpmath(t: float) -> int:
+    """Number of zeros with ordinate in (0, t]."""
+    return int(mp.nzeros(t))
