@@ -27,14 +27,15 @@ from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventKind, EventSequence, EventSource,
                         ZeroTableError, find_zeros, load_zeros, sieve_primes,
                         synthetic_train)
-from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
-                       periodicity_check)
+from .spectral import (conjugate_symmetry_check, dft, direct_bins, idft,
+                       parseval_check, periodicity_check)
 
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
 PNT_CHECKPOINTS = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
-# the shifted-sum periodicity check costs O(N) per bin; cap the bin set
-PERIODICITY_BIN_CAP = 4096
+# the exact periodicity sum costs one lookup per bin, mark and shift (the
+# base bins count as one shift); bins beyond this budget are skipped
+PERIODICITY_TERM_BUDGET = 2 ** 25
 
 
 class ConfigError(ValueError):
@@ -128,10 +129,12 @@ def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
 
 def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
     n = series.grid.length
-    if n <= PERIODICITY_BIN_CAP:
+    per_bin = max(1, series.mark_count * (1 + len(config.z_values)))
+    count = min(n, max(1, PERIODICITY_TERM_BUDGET // per_bin))
+    if count == n:
         bins = None
     else:
-        bins = np.unique(np.linspace(0, n - 1, PERIODICITY_BIN_CAP).astype(int))
+        bins = np.unique(np.linspace(0, n - 1, count).astype(int))
         _log(f"periodicity check restricted to {bins.size} of {n} bins")
     checks = []
     for report in periodicity_check(series, list(config.z_values),
@@ -163,6 +166,9 @@ def run(config: RunConfig) -> int:
             and config.k_terms > grid.length:
         raise ConfigError(f"k-terms {config.k_terms} exceeds the "
                           f"{grid.length} bins of the grid")
+    if max(config.z_values, default=1) >= (2 ** 63 - 1) // grid.length:
+        raise ConfigError(f"z values must stay below 2^63 / {grid.length} "
+                          f"for int64 phases, got {max(config.z_values)}")
     _log(what)
     _log(f"{len(events)} events on a grid of {grid.length} samples "
          f"(delta {grid.delta})")
@@ -275,9 +281,13 @@ def _suite_error(suite: str, series: MangoldtSeries, corrupt: bool) -> float:
     if suite == "round_trip":
         return float(np.max(np.abs(idft(spectrum) - series.values)))
     if suite == "periodicity":
-        # the identity holds for integer shift multiples only
-        z_values = [1, 2, 3.001] if corrupt else [1, 2, 3]
-        return max(r.max_abs_diff for r in periodicity_check(series, z_values))
+        err = max(r.max_abs_diff for r in periodicity_check(series, [1, 2, 3]))
+        if corrupt:  # the identity fails for a shift that is not a multiple of N
+            base = np.arange(series.grid.length)
+            shifted = direct_bins(series.values, base + 3 * base.size + 1)
+            err = max(err, float(np.max(np.abs(
+                shifted - direct_bins(series.values, base)))))
+        return err
     if suite == "symmetry":
         return conjugate_symmetry_check(spectrum).max_asymmetry
     if suite == "parseval":

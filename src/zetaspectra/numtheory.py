@@ -394,12 +394,13 @@ def _refine(f, a: float, b: float, fa: float, fb: float,
     already halves the other end's value. Safeguard: when two Illinois
     steps in a row leave the bracket wider than half its width before them,
     the next step bisects, so the width halves at least once every three
-    evaluations. Returns the final bracket, which holds the sign change;
-    (x, x) when f(x) == 0 exactly.
+    evaluations. Stops early once no float lies strictly inside the bracket,
+    so a width below the float spacing ends too. Returns the final bracket,
+    which holds the sign change; (x, x) when f(x) == 0 exactly.
     """
     kept = "a" if abs(fb) < abs(fa) else "b"  # the end the last step kept
     start, steps = b - a, 0  # width before the latest Illinois steps; count
-    while b - a > width:
+    while b - a > width and np.nextafter(a, b) < b:
         bisect = steps == 2
         x = 0.5 * (a + b) if bisect else a + (b - a) * (fa / (fa - fb))
         # Once an end sits on the root to rounding, the secant point lands on
@@ -448,6 +449,8 @@ def find_zeros(
         raise DomainError(f"need 0 <= t_min < t_max, got ({t_min}, {t_max})")
     if scan_step <= 0.0:
         raise DomainError(f"scan_step must be positive, got {scan_step}")
+    if bisect_width <= 0.0:
+        raise DomainError(f"bisect_width must be positive, got {bisect_width}")
 
     n_steps = int(math.ceil((t_max - t_min) / scan_step))
     ts = np.minimum(t_min + scan_step * np.arange(n_steps + 1), t_max)

@@ -8,9 +8,12 @@ so the exponent reduces to -i 2 pi l k / N and the frequency axis is in cycles
 per location unit. The inverse carries the +i sign and the 1/N factor. The
 fast path delegates to the FFT; ``dft_direct`` keeps the literal sum as the
 reference route, and ``periodicity_check`` evaluates that sum at shifted
-arguments where the FFT cannot. Per-bin quantities (``Spectrum.frequencies``,
-the amplitude and phase from ``amplitude_phase``) are numpy columns indexed
-by bin.
+integer arguments where the FFT cannot. The literal sum is exact in its
+phases: each exponent is reduced as ((m mod N) k) mod N in int64, which
+needs N^2 < 2^63, and read from a table of exp(-2 pi i j / N), so it costs
+one lookup per bin and nonzero sample. Per-bin quantities
+(``Spectrum.frequencies``, the amplitude and phase from ``amplitude_phase``)
+are numpy columns indexed by bin.
 """
 
 from __future__ import annotations
@@ -111,22 +114,58 @@ def dft(series: MangoldtSeries) -> Spectrum:
     return dft_values(series.values, series.grid)
 
 
-def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Literal transform sum evaluated at arbitrary (real) bin indices.
+def _integers(x, what: str) -> np.ndarray:
+    """x as an int64 array; ValueError unless every entry is an integer."""
+    x = np.atleast_1d(np.asarray(x))
+    try:
+        with np.errstate(invalid="ignore"):
+            m = x.astype(np.int64)
+    except OverflowError:
+        m = None
+    if m is None or not np.array_equal(m, x):
+        raise ValueError(f"{what} must be integers in int64 range")
+    return m
 
-    sum_k v_k exp(-i 2 pi m k / N) for each requested index m; m need not be
-    an integer in 0..N-1, which is what the shifted-argument checks need.
+
+# One table of N twiddles while it fits in cache (N <= 2^18, 4 MiB). Above,
+# exp(-2 pi i j / N) = high[j >> 12] * low[j & 4095] from two small tables:
+# lookups in one table of N entries would wait on memory.
+_TABLE_MAX = 1 << 18
+_LOW_BITS = 12
+
+
+def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Literal transform sum evaluated at integer bin indices.
+
+    sum_k v_k exp(-i 2 pi m k / N) for each requested index m, which may lie
+    outside 0..N-1 (the shifted-argument checks need that). The exponent is
+    reduced exactly as j = ((m mod N) k) mod N in int64, which bounds N^2
+    below 2^63, and exp(-2 pi i j / N) is looked up in a table of N
+    twiddles (split in two above 2^18), so X(l + zN) equals X(l) bit for
+    bit. Only the nonzero samples enter the sum: the cost is one lookup per
+    index and nonzero sample, in blocks of about 2^20 terms.
     """
     values = np.asarray(values, dtype=float)
-    indices = np.atleast_1d(np.asarray(indices, dtype=float))
     n = values.size
-    k = np.arange(n, dtype=float)
-    out = np.empty(indices.size, dtype=complex)
-    block = max(1, (1 << 22) // n)  # bound the outer-product working set
-    for start in range(0, indices.size, block):
-        chunk = indices[start:start + block]
-        out[start:start + chunk.size] = (
-            np.exp(-2j * np.pi * np.outer(chunk, k) / n) @ values)
+    if n > 3_037_000_499:  # isqrt(2^63 - 1): (m mod N) k must fit in int64
+        raise ValueError(f"N = {n} is too large for int64 phase reduction")
+    reduced = _integers(indices, "bin indices") % max(n, 1)
+    k = np.flatnonzero(values)
+    weights = values[k]
+    split = n > _TABLE_MAX
+    low = np.exp(-2j * np.pi * np.arange(1 << _LOW_BITS if split else n) / n)
+    high = np.exp(-2j * np.pi * np.arange(0, n, 1 << _LOW_BITS) / n)
+    out = np.zeros(reduced.size, dtype=complex)
+    block = max(1, (1 << 20) // max(k.size, 1))
+    for start in range(0, reduced.size, block):
+        phase = np.outer(reduced[start:start + block], k)
+        np.remainder(phase, n, out=phase)
+        if split:
+            terms = low[phase & ((1 << _LOW_BITS) - 1)]
+            terms *= high[phase >> _LOW_BITS]
+        else:
+            terms = low[phase]
+        out[start:start + phase.shape[0]] = terms @ weights
     return out
 
 
@@ -173,23 +212,26 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
                       bins: np.ndarray | None = None) -> list[PeriodicityReport]:
     """Compare the literal sum at bin indices l + z*N against the base bins.
 
-    The shift multiplies each term by exp(-i 2 pi z k) = 1, so the max
-    difference is pure roundoff for any integer z. ``bins`` restricts the
-    checked indices (the literal sum costs O(N) per index); default is all.
+    The shift multiplies each term by exp(-i 2 pi z k) = 1 for integer z,
+    and the exact phase reduction of ``direct_bins`` makes the difference
+    exactly 0 when the identity holds. Non-integer z raises ValueError: the
+    identity does not hold there. ``bins`` restricts the checked integer
+    indices (each costs one lookup per mark and shift); default is all.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = series.grid.length
-    base_idx = np.arange(n, dtype=float) if bins is None \
-        else np.asarray(bins, dtype=float)
+    base_idx = np.arange(n) if bins is None else _integers(bins, "bins")
     base = direct_bins(series.values, base_idx)
     reports = []
-    for z in z_values:
+    for z in _integers(z_values, "shift multiples").tolist():
         if z < 1:
             raise ValueError(f"shift multiples must be positive, got {z}")
+        if z > (np.iinfo(np.int64).max - n) // n:
+            raise ValueError(f"shift z*N overflows int64, got z = {z}")
         shifted = direct_bins(series.values, base_idx + z * n)
         diff = float(np.max(np.abs(shifted - base)))
-        reports.append(PeriodicityReport(z=int(z), max_abs_diff=diff, tol=tol,
+        reports.append(PeriodicityReport(z=z, max_abs_diff=diff, tol=tol,
                                          passed=diff < tol))
     return reports
 

@@ -122,6 +122,24 @@ def test_prime_source(tmp_path):
     assert marked == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+@pytest.mark.parametrize("args, restricted", [
+    (("--limit", "10000"), "periodicity check restricted to 6825 of 9974 bins"),
+    (("--limit", "1000", "--z", "1,100"), None),
+], ids=["primes-1e4", "primes-1e3-z100"])
+def test_periodicity_exact_on_prime_runs(args, restricted, tmp_path):
+    # a float phase 2 pi (l + zN) k / N put these checks above 1e-9
+    out = tmp_path / "out"
+    cp = run_cli("run", "--source", "primes", *args, "--out", str(out),
+                 "--emit", "none")
+    assert cp.returncode == 0, cp.stderr
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert all(c["pass"] and c["max_error"] <= 1e-9 for c in checks), checks
+    assert all(c["max_error"] == 0.0 for c in checks
+               if c["name"].startswith("periodicity_z"))
+    lines = [line for line in cp.stderr.splitlines() if "restricted" in line]
+    assert lines == ([restricted] if restricted else [])
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli("run", "--source", "nonsense").returncode == 2
     assert run_cli("run", "--delta", "-1", "--out",
@@ -136,8 +154,9 @@ def test_usage_errors_exit_2(tmp_path):
     ("--source", "zeros-file", "--zero-file", "MALFORMED"),
     ("--t-max", "0.5"),
     ("--k-terms", "500"),
+    ("--z", "1,100000000000000000"),
 ], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
-        "k-beyond-grid"])
+        "k-beyond-grid", "z-beyond-int64"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     table = tmp_path / "zeros.txt"
     table.write_text("14.1\nnot-a-number\n")

@@ -1,9 +1,11 @@
 """Golden outputs: every CSV and the manifest of four CLI scenarios, by hash.
 
-The hashes were recorded from the per-bin implementation that preceded the
-columnar pipeline, so any change in a printed cell shows here. The manifest
-is hashed without its `versions` block and its echoed output directory,
-which depend on the environment and the run, not on the computation.
+The CSV hashes were recorded from the per-bin implementation that preceded
+the columnar pipeline, so any change in a printed cell shows here. The
+manifest is hashed without its `versions` block and its echoed output
+directory, which depend on the environment and the run, not on the
+computation. Its hashes were re-recorded when the periodicity check became
+exact: only the `max_error` of the `periodicity_z*` checks changed, to 0.0.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ GOLDEN = {
         "series.csv": "7ae6b5007396397943f36409028b064321d3a2169bad343576f17f5179fde89c",
         "spectrum.csv": "9972bc0f534fcc21b9f0b2b87bfa7ebe94c37bf25dd4ad0f019032fc2ca2899c",
         "spiral.csv": "d23b0413d6196e6c50d97a61c4ef564382dd56199a87e7836c29aed0d36887a1",
-        "manifest.json": "f7991e041e27233cbf18c09332e7fb50984f2706dbcf8336bd85b40550b0d164",
+        "manifest.json": "2325bce8c73a345ec31d0bb3eebbe0b4c77ab10904979e9ce2ef985ca1c79b29",
     },
     ("--source", "synthetic", "--gap", "10"): {
         "peaks.csv": "f510111c1f28069862301cbffbe4abc20dbaafea6e66be5c5fdc1e3e3fd3d7a2",
@@ -32,7 +34,7 @@ GOLDEN = {
         "series.csv": "df00cdf1d0120f98610e0d0adb9d52fee6028d7d66d49fba2d1acfa0eda2a384",
         "spectrum.csv": "7cd517a4db929708375eb23b6c0be38f5df9801ed23187daa993dad2b319d6dd",
         "spiral.csv": "523a757056920a5f2aeabbf976d131fd4f519414f9a6a7ca0003ceb3f2cbdaa8",
-        "manifest.json": "43ea5ac13db6c33d3fecd7c1355929f0f5d92bca2ba11e60a304fb70311a5a1a",
+        "manifest.json": "cce57da562013be185498eb8c4e6178a1f3d3318af96c2fd0d132455c356bb55",
     },
     ("--source", "primes", "--limit", "1000"): {
         "peaks.csv": "b68ae6ec3f291ccdad0c8d46d04a052dda4134b3f3c6fc485d5649a9a2d28677",
@@ -42,7 +44,7 @@ GOLDEN = {
         "series.csv": "d0c6f7dcffebeb1847b581188eb06100bcfec57d00f8bb66de68f00494fc115a",
         "spectrum.csv": "a8852e9c349db5bee5951214b22943d5cad39d8e833843ac19583060f6186f89",
         "spiral.csv": "54fb8461c7a23c1dd714e5b729cf10238ba48ee4aefc71909eb0aebeb688e3ad",
-        "manifest.json": "9e5102ee081755caf360270944cab75df4f3cc5607781effba87a6900e7ad8d7",
+        "manifest.json": "8bac1316bd2b3aeb97e471ad55c3a2b9497792be1bb2591f2af1baa7bc081ac8",
     },
     ("--t-max", "1000"): {
         "peaks.csv": "01a4d6be809de9dec7a0baddd82044cc30bbfb09e93abe79b1cdb988d1afbd1c",
@@ -52,7 +54,7 @@ GOLDEN = {
         "series.csv": "bbb1c4355c2e0386288b47abd4da9b74deaefb587fb9aa2863448805c8564f00",
         "spectrum.csv": "eb161d73ab2c39ad5d5e2ce997391d6d1c9ce5d9727ad99d8718cd779979bcf6",
         "spiral.csv": "10594c67defb0909afef0842c7b229a22291e9503de91ebcd1e577c7b8692771",
-        "manifest.json": "3eaddf41f233e3d7a3c9b7ca51ba512a131093999723eb9ffa81c4d65a942533",
+        "manifest.json": "a6d11d6f5bb688e413799a80f9c3456946b5c9a469f3da5aae084d725815d1df",
     },
 }
 

@@ -242,6 +242,22 @@ def test_refine_safeguard_where_regula_falsi_stalls():
     assert len(calls) <= budget
 
 
+def test_refine_ends_when_no_float_is_left_inside():
+    # a width below the float spacing cannot be met; the bracket stops
+    # narrowing at two adjacent floats instead of looping forever
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise RuntimeError("refinement does not end")
+        return (x - 0.1) + 1e-20  # nonzero at every float
+
+    a, b = _refine(f, 0.0, 1.0, f(0.0), f(1.0), 1e-300)
+    assert np.nextafter(a, b) == b
+    assert f(a) < 0.0 < f(b)
+
+
 @pytest.mark.xfail(strict=True, reason="the Lehmer pair at 7005.0629 and "
                    "7005.1006 sits inside one 0.05 scan cell; the count band "
                    "does not notice the two missing zeros")
@@ -276,6 +292,8 @@ def test_find_zeros_domain_errors():
         find_zeros(30.0, 30.0)
     with pytest.raises(DomainError):
         find_zeros(0.0, 30.0, scan_step=0.0)
+    with pytest.raises(DomainError):
+        find_zeros(14.0, 14.2, bisect_width=0.0, count_check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from zetaspectra import (GridSpec, Spectrum, amplitude_phase,
                          conjugate_symmetry_check, dft, dft_direct,
                          dft_values, idft, idft_complex, parseval_check,
                          periodicity_check)
+from zetaspectra.spectral import direct_bins
 
 from conftest import random_indicator, series_from_values
 from oracles import dft_brute, idft_brute
@@ -55,6 +56,31 @@ def test_both_paths_match_brute_oracle():
     brute = dft_brute(list(series.values))
     assert np.max(np.abs(dft(series).bins - brute)) < 1e-9
     assert np.max(np.abs(dft_direct(series.values, series.grid).bins - brute)) < 1e-9
+
+
+def test_direct_bins_weighted_series_matches_brute_oracle():
+    # weights other than 1, of both signs, with zeros between them
+    rng = np.random.default_rng(6)
+    values = rng.normal(scale=3.0, size=45) * (rng.random(45) < 0.4)
+    brute = np.array(dft_brute(list(values)))
+    assert np.max(np.abs(direct_bins(values, np.arange(45)) - brute)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [45, 2 ** 18 + 3])  # one twiddle table, split
+def test_direct_bins_matches_fft_and_repeats_at_shifted_indices(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(scale=3.0, size=n) * (rng.random(n) < 300 / n)
+    l = np.unique(np.linspace(0, n - 1, 40).astype(int))
+    assert np.max(np.abs(direct_bins(values, l) - np.fft.fft(values)[l])) < 1e-9
+    for shifted in (l + 7 * n, l - 2 * n, (l + 10 ** 9 * n).astype(float)):
+        assert np.array_equal(direct_bins(values, shifted),
+                              direct_bins(values, l))
+
+
+@pytest.mark.parametrize("indices", [[0.5], [1, 2.25], [np.nan], [2.0 ** 64]])
+def test_direct_bins_rejects_non_integer_indices(indices):
+    with pytest.raises(ValueError):
+        direct_bins(np.ones(8), indices)
 
 
 def test_frequency_axis():
@@ -176,12 +202,13 @@ def test_amplitude_phase_columns_equal_per_bin_math():
 # Periodicity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("z", [1, 3, 10 ** 9])
 def test_periodicity_random_series(z):
     series = random_indicator(101, np.random.default_rng(31))
     (report,) = periodicity_check(series, [z])
     assert report.passed
     assert report.max_abs_diff < 1e-9
+    assert report.max_abs_diff == 0.0  # exact phases: equal bit for bit
 
 
 def test_periodicity_impulse_n8_z2():
@@ -203,6 +230,15 @@ def test_periodicity_rejects_bad_args():
         periodicity_check(series, [0])
     with pytest.raises(ValueError):
         periodicity_check(series, [1], tol=0.0)
+    # the identity holds for integer shift multiples only
+    with pytest.raises(ValueError):
+        periodicity_check(series, [2.5])
+    with pytest.raises(ValueError):
+        periodicity_check(series, [1, 3.001])
+    with pytest.raises(ValueError):
+        periodicity_check(series, [1], bins=np.array([0.5]))
+    with pytest.raises(ValueError):  # z * N beyond int64
+        periodicity_check(series, [2 ** 62])
 
 
 def test_periodicity_bin_subset():
