@@ -127,23 +127,16 @@ def _integers(x, what: str) -> np.ndarray:
     return m
 
 
-# One table of N twiddles while it fits in cache (N <= 2^18, 4 MiB). Above,
-# exp(-2 pi i j / N) = high[j >> 12] * low[j & 4095] from two small tables:
-# lookups in one table of N entries would wait on memory.
-_TABLE_MAX = 1 << 18
-_LOW_BITS = 12
-
-
 def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Literal transform sum evaluated at integer bin indices.
 
     sum_k v_k exp(-i 2 pi m k / N) for each requested index m, which may lie
     outside 0..N-1 (the shifted-argument checks need that). The exponent is
     reduced exactly as j = ((m mod N) k) mod N in int64, which bounds N^2
-    below 2^63, and exp(-2 pi i j / N) is looked up in a table of N
-    twiddles (split in two above 2^18), so X(l + zN) equals X(l) bit for
-    bit. Only the nonzero samples enter the sum: the cost is one lookup per
-    index and nonzero sample, in blocks of about 2^20 terms.
+    below 2^63, and exp(-2 pi i j / N) is looked up in one table of N
+    twiddles, so X(l + zN) equals X(l) bit for bit. Only the nonzero
+    samples enter the sum: the cost is one lookup per index and nonzero
+    sample, in blocks of about 2^20 terms.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -152,20 +145,13 @@ def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     reduced = _integers(indices, "bin indices") % max(n, 1)
     k = np.flatnonzero(values)
     weights = values[k]
-    split = n > _TABLE_MAX
-    low = np.exp(-2j * np.pi * np.arange(1 << _LOW_BITS if split else n) / n)
-    high = np.exp(-2j * np.pi * np.arange(0, n, 1 << _LOW_BITS) / n)
+    table = np.exp(-2j * np.pi * np.arange(n) / n)
     out = np.zeros(reduced.size, dtype=complex)
     block = max(1, (1 << 20) // max(k.size, 1))
     for start in range(0, reduced.size, block):
         phase = np.outer(reduced[start:start + block], k)
         np.remainder(phase, n, out=phase)
-        if split:
-            terms = low[phase & ((1 << _LOW_BITS) - 1)]
-            terms *= high[phase >> _LOW_BITS]
-        else:
-            terms = low[phase]
-        out[start:start + phase.shape[0]] = terms @ weights
+        out[start:start + phase.shape[0]] = table[phase] @ weights
     return out
 
 
@@ -212,16 +198,20 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
                       bins: np.ndarray | None = None) -> list[PeriodicityReport]:
     """Compare the literal sum at bin indices l + z*N against the base bins.
 
-    The shift multiplies each term by exp(-i 2 pi z k) = 1 for integer z,
-    and the exact phase reduction of ``direct_bins`` makes the difference
-    exactly 0 when the identity holds. Non-integer z raises ValueError: the
-    identity does not hold there. ``bins`` restricts the checked integer
-    indices (each costs one lookup per mark and shift); default is all.
+    The shift multiplies each term by exp(-i 2 pi z k) = 1 for integer z.
+    ``direct_bins`` reduces every phase exactly before any floating-point
+    work, so the check is exact by construction: the difference is 0.0
+    unless that index reduction is wrong, which is all it guards; it does
+    not exercise the float arithmetic of the sum. Non-integer z raises
+    ValueError: the identity does not hold there. ``bins`` restricts the
+    checked integer indices (each costs one lookup per mark and shift);
+    default is all. Bins outside 0..N-1 are taken modulo N first, which
+    leaves X unchanged and keeps l + z*N inside int64.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = series.grid.length
-    base_idx = np.arange(n) if bins is None else _integers(bins, "bins")
+    base_idx = np.arange(n) if bins is None else _integers(bins, "bins") % n
     base = direct_bins(series.values, base_idx)
     reports = []
     for z in _integers(z_values, "shift multiples").tolist():

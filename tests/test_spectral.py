@@ -53,23 +53,19 @@ def test_fast_path_matches_direct_sum(n):
 
 def test_both_paths_match_brute_oracle():
     series = random_indicator(32, np.random.default_rng(5))
-    brute = dft_brute(list(series.values))
-    assert np.max(np.abs(dft(series).bins - brute)) < 1e-9
-    assert np.max(np.abs(dft_direct(series.values, series.grid).bins - brute)) < 1e-9
-
-
-def test_direct_bins_weighted_series_matches_brute_oracle():
-    # weights other than 1, of both signs, with zeros between them
     rng = np.random.default_rng(6)
-    values = rng.normal(scale=3.0, size=45) * (rng.random(45) < 0.4)
-    brute = np.array(dft_brute(list(values)))
-    assert np.max(np.abs(direct_bins(values, np.arange(45)) - brute)) < 1e-9
+    # weights other than 1, of both signs, with zeros between them
+    weighted = rng.normal(scale=3.0, size=32) * (rng.random(32) < 0.4)
+    for values in (series.values, weighted):
+        brute = dft_brute(list(values))
+        assert np.max(np.abs(dft_values(values, series.grid).bins - brute)) < 1e-9
+        assert np.max(np.abs(dft_direct(values, series.grid).bins - brute)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [45, 2 ** 18 + 3])  # one twiddle table, split
-def test_direct_bins_matches_fft_and_repeats_at_shifted_indices(n):
+def test_direct_bins_matches_fft_and_repeats_at_shifted_indices():
+    n = 45
     rng = np.random.default_rng(n)
-    values = rng.normal(scale=3.0, size=n) * (rng.random(n) < 300 / n)
+    values = rng.normal(scale=3.0, size=n) * (rng.random(n) < 0.4)
     l = np.unique(np.linspace(0, n - 1, 40).astype(int))
     assert np.max(np.abs(direct_bins(values, l) - np.fft.fft(values)[l])) < 1e-9
     for shifted in (l + 7 * n, l - 2 * n, (l + 10 ** 9 * n).astype(float)):
@@ -245,6 +241,11 @@ def test_periodicity_bin_subset():
     series = random_indicator(128, np.random.default_rng(51))
     (report,) = periodicity_check(series, [2], bins=np.array([0, 5, 63, 127]))
     assert report.passed
+    # bins beyond 0..N-1, up to the int64 limit, where l + z*N would wrap
+    series = random_indicator(101, np.random.default_rng(52))
+    far = np.array([np.iinfo(np.int64).max - 1, -7, 250])
+    (report,) = periodicity_check(series, [3], bins=far)
+    assert report.passed and report.max_abs_diff == 0.0
 
 
 # ---------------------------------------------------------------------------
