@@ -194,9 +194,11 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
     )
 
 
-def pnt_ratio(x: int) -> float:
-    """pi(x) * ln(x) / x with pi(x) counted by the prime sieve."""
+def pnt_ratio(x: int, count: int | None = None) -> float:
+    """pi(x) * ln(x) / x; pi(x) is `count` when given, else counted by the
+    prime sieve."""
     if x < 2:
         raise DomainError(f"pnt_ratio needs x >= 2, got {x}")
-    count = len(sieve_primes(int(x)))
+    if count is None:
+        count = len(sieve_primes(int(x)))
     return count * math.log(x) / x

@@ -94,6 +94,8 @@ class RunConfig:
                 f"threshold must be in (0, 1], got {self.threshold_fraction}")
         if any(z < 1 for z in self.z_values):
             raise ConfigError(f"z values must be >= 1, got {self.z_values}")
+        if len(set(self.z_values)) < len(self.z_values):
+            raise ConfigError(f"z values must not repeat, got {self.z_values}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
 
@@ -210,8 +212,10 @@ def run(config: RunConfig) -> int:
         emitted("ratios.csv",
                 write_ratios_csv(out_dir / "ratios.csv", ratios, recips))
     if "pnt" in config.emit:
-        checkpoints = [(x, len(sieve_primes(x)), pnt_ratio(x))
-                       for x in PNT_CHECKPOINTS]
+        primes = sieve_primes(max(PNT_CHECKPOINTS)).events
+        counts = np.searchsorted(primes, PNT_CHECKPOINTS, side="right")
+        checkpoints = [(x, int(c), pnt_ratio(x, int(c)))
+                       for x, c in zip(PNT_CHECKPOINTS, counts)]
         emitted("pnt.csv", write_pnt_csv(out_dir / "pnt.csv", checkpoints))
 
     manifest = {

@@ -5,7 +5,8 @@ import pytest
 
 from zetaspectra import (DomainError, GridSpec, Spectrum, detect_peaks, dft,
                          fermat_spiral, frequency_ratio_series, idft,
-                         pnt_ratio, reciprocal_series, reconstruct)
+                         pnt_ratio, reciprocal_series, reconstruct,
+                         sieve_primes)
 
 from conftest import random_indicator, series_from_values
 from oracles import dft_brute
@@ -276,6 +277,14 @@ def test_pnt_ratio_against_oracle_and_decreasing():
     for got, want in zip(values, (PNT_ORACLE[x] for x in sorted(PNT_ORACLE))):
         assert got == pytest.approx(want, abs=1e-6)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_pnt_ratio_of_a_given_count_equals_the_sieved_one():
+    # the CLI counts every checkpoint in one sieve to the largest
+    primes = sieve_primes(10 ** 4).events
+    for x in (2, 100, 1000, 9973, 10 ** 4):
+        count = int(np.searchsorted(primes, x, side="right"))
+        assert pnt_ratio(x, count) == pnt_ratio(x)
 
 
 def test_pnt_ratio_domain():

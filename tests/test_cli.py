@@ -155,8 +155,9 @@ def test_usage_errors_exit_2(tmp_path):
     ("--t-max", "0.5"),
     ("--k-terms", "500"),
     ("--z", "1,100000000000000000"),
+    ("--z", "1,1"),
 ], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
-        "k-beyond-grid", "z-beyond-int64"])
+        "k-beyond-grid", "z-beyond-int64", "z-repeated"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     table = tmp_path / "zeros.txt"
     table.write_text("14.1\nnot-a-number\n")
