@@ -170,12 +170,14 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
         if not 1 <= k <= n:
             raise ValueError(f"k_terms must be in 1..{n} or 'all', got {k_terms}")
 
-    # amplitude descending, ties to the lower bin index
-    order = np.lexsort((np.arange(n), -np.abs(spectrum.bins)))
-    chosen = np.zeros(n, dtype=bool)
-    chosen[order[:k]] = True
-    # close under conjugate partners so the partial sum stays real
-    chosen[(n - order[:k]) % n] = True
+    chosen = np.ones(n, dtype=bool)
+    if k < n:  # with every bin chosen the ranking decides nothing
+        # amplitude descending, ties to the lower bin index
+        top = np.lexsort((np.arange(n), -np.abs(spectrum.bins)))[:k]
+        chosen[:] = False
+        chosen[top] = True
+        # close under conjugate partners so the partial sum stays real
+        chosen[(n - top) % n] = True
     recon = np.fft.ifft(np.where(chosen, spectrum.bins, 0.0)).real
 
     if original is None:

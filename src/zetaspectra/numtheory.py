@@ -1,29 +1,35 @@
 """Event sequences on the positive reals: primes and zeta-zero ordinates.
 
 The zero machinery evaluates the real function Z(t) = exp(i*theta(t)) * zeta(1/2 + i*t),
-whose sign changes bracket the ordinates of the critical-line zeros. Two evaluation
-routes are combined:
+whose sign changes bracket the ordinates of the critical-line zeros. Two
+routes, each a sum of real cosines sum n^-1/2 cos(theta - t log n) plus a
+correction:
 
-* Euler-Maclaurin summation of zeta(1/2 + i*t), accurate to ~1e-12 for t <= a few
-  thousand (cost grows linearly with t);
-* the Riemann-Siegel asymptotic formula (main sum plus five remainder terms), used
-  above ``RS_CROSSOVER`` where its truncation error is below 1e-10 (cost grows like
-  sqrt(t)).
+* below ``RS_CROSSOVER``, Euler-Maclaurin summation: the cosines over
+  n <= M = max(20, ceil(0.8 t)) plus Re(exp(i theta) * the Euler-Maclaurin
+  tail); cost grows linearly with t. The tail's truncation is below 1e-19,
+  so the error is the phases' rounding, measured at most 1.5e-12;
+* from ``RS_CROSSOVER`` on, the Riemann-Siegel formula: twice the cosines
+  over n <= floor(sqrt(t/2pi)) plus the remainder terms C0..C4, read from a
+  table of their power series in p = frac(sqrt(t/2pi)) (``_RS_SERIES``,
+  generated by tools/rs_coefficients.py); cost grows like sqrt(t). Gabcke's
+  bound on the omitted remainder, 0.017 t^(-11/4), is 9.6e-11 at t = 1000;
+  the worst error measured is 6.0e-11 near t = 1040.
 
-Measured against an independent multiprecision reference, the combined evaluator
-stays within 1e-8 of Z(t) for all t <= 1e4 (worst point is t ~ 10, where the
-asymptotic phase series contributes ~6e-9).
+The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
+series above; below the crossover a phase error enters Z only to second order.
 
 Zeros are found in two passes. The scan evaluates Z on the whole grid in one
-batch (``_z_batch``: the same routes and constants as the scalar
-``riemann_siegel_Z``, as masked matrices of terms in blocks of at most 2^20).
-Each sign change is then refined by safeguarded Illinois regula falsi
+batch (``_z_batch``: the same routes and formulas as the scalar
+``riemann_siegel_Z``, as masked matrices of cosine terms in blocks of at most
+2^20). Each sign change is then refined by safeguarded Illinois regula falsi
 (``_refine``), about five scalar ``riemann_siegel_Z`` calls per zero.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,20 +148,34 @@ _EM_TERMS = 12
 # decreasing fast enough for ~1e-12 absolute error up to t ~ 5000.
 _EM_M_FACTOR = 0.8
 
-_log_cache = np.log(np.arange(1, 64, dtype=float))
+_n_cache = np.empty((2, 0))
 
 
-def _logs(m: int) -> np.ndarray:
-    global _log_cache
-    if m > _log_cache.size:
-        _log_cache = np.log(np.arange(1, 2 * m, dtype=float))
-    return _log_cache[:m]
+def _n_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """log n and n^-1/2 for n = 1..m, from a cache that grows by doubling."""
+    global _n_cache
+    if m > _n_cache.shape[1]:
+        n = np.arange(1, max(64, 2 * m), dtype=float)
+        _n_cache = np.stack([np.log(n), 1.0 / np.sqrt(n)])
+    return _n_cache[0, :m], _n_cache[1, :m]
+
+
+def _cos_sum(t, theta, m):
+    """sum_{n<=m} n^-1/2 cos(theta - t log n), for one t or elementwise on
+    arrays: then a matrix of real terms, one row per t, the terms n > m
+    masked."""
+    if np.isscalar(t):
+        logs, rsqrt = _n_terms(m)
+        return np.cos(theta - t * logs) @ rsqrt
+    logs, rsqrt = _n_terms(int(m.max()))
+    terms = np.cos(theta[:, None] - t[:, None] * logs)
+    terms[np.arange(1, logs.size + 1) > m[:, None]] = 0.0
+    return terms @ rsqrt
 
 
 def _em_cutoff(t):
     """Summation cutoff M = max(20, ceil(0.8 t)), for one t or an array."""
-    m = np.maximum(20, np.ceil(_EM_M_FACTOR * np.maximum(t, 1.0)))
-    return m.astype(int)
+    return np.maximum(20, np.ceil(_EM_M_FACTOR * t)).astype(int)
 
 
 def _em_correct(total, s, m):
@@ -184,17 +204,7 @@ def zeta_half(t: float) -> complex:
         raise DomainError(f"zeta_half needs t >= 0, got {t}")
     s = complex(0.5, t)
     m = int(_em_cutoff(t))
-    return _em_correct(complex(np.exp(-s * _logs(m)).sum()), s, m)
-
-
-def _zeta_half_rows(t: np.ndarray) -> np.ndarray:
-    """zeta_half at every t of one block: the terms n > M(t) are masked."""
-    s = 0.5 + 1j * t
-    m = _em_cutoff(t)
-    logs = _logs(int(m.max()))
-    terms = np.exp(np.outer(-s, logs))
-    terms[np.arange(1, logs.size + 1) > m[:, None]] = 0.0
-    return _em_correct(terms.sum(axis=1), s, m)
+    return _em_correct(complex(np.exp(-s * _n_terms(m)[0]).sum()), s, m)
 
 
 # ---------------------------------------------------------------------------
@@ -237,113 +247,126 @@ def _theta_exact(t):
     return log_gamma.imag - shift - 0.5 * t * math.log(math.pi)
 
 
-# Remainder kernel of the asymptotic formula:
-#     Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p),
-# entire after cancelling the removable points p = 1/4 + k/2. Taylor
-# derivatives at p are read off a 64-sample FFT on a complex circle; the
-# half-step angular offset keeps samples away from the removable points,
-# and _PSI_PHASE undoes the rotation that offset puts on coefficient k.
-_PSI_ORDER = 13
-_PSI_SAMPLES = 64
-_PSI_RADIUS = 0.5
-_PSI_CIRCLE = _PSI_RADIUS * np.exp(
-    2j * np.pi * (np.arange(_PSI_SAMPLES) + 0.5) / _PSI_SAMPLES)
-_PSI_PHASE = np.exp(-1j * np.pi * np.arange(_PSI_ORDER) / _PSI_SAMPLES)
-_PSI_SCALE = np.array([math.factorial(k) / _PSI_RADIUS ** k
-                       for k in range(_PSI_ORDER)])
+# Remainder terms C0..C4 of the Riemann-Siegel formula (Gabcke, PhD thesis,
+# Goettingen 1979; Edwards, Riemann's Zeta Function, ch. 7) as power series in
+# z = 2p - 1, p = tau - m: C0, C2 and C4 are even in z and C1 and C3 odd, so
+# row k holds the coefficients of z^(2j + k % 2), j = 0, 1, .... Each series
+# is cut where its terms fall below 1e-17. Generated, with these literals, by
+# tools/rs_coefficients.py; its --check mode compares them.
+_RS_SERIES = (
+    (0.3826834323650898, 0.43724046807752043, 0.1323765754803435,
+     -0.013605026047674188, -0.013567621970103581, -0.0016237253231444653,
+     0.0002970535373337969, 7.94330087952147e-05, 4.6556124614504504e-07,
+     -1.4327251630955106e-06, -1.0354847112312946e-07, 1.2357927083861738e-08,
+     1.7881083857954906e-09, -3.391414389927036e-11, -1.6326633902565907e-11,
+     -3.7851093185412205e-13, 9.327423259201725e-14, 5.221843015978137e-15,
+     -3.350673072744264e-16, -3.4124265228117265e-17),
+    (-0.026825102628375348, 0.013784773426351853, 0.03849125048223508,
+     0.009871066299062077, -0.0033107597608584044, -0.0014647808577954152,
+     -1.3207940624876963e-05, 5.9227487018471416e-05, 5.980242585373449e-06,
+     -9.641322456169826e-07, -1.8334733722714413e-07, 4.4670875627178334e-09,
+     2.7096350821772744e-09, 7.785288654315851e-11, -2.343762601089369e-11,
+     -1.5830172789987521e-12, 1.211994157372379e-13, 1.4583781161108306e-14,
+     -2.878630525813192e-16, -8.662862902123724e-17),
+    (0.005188542830293168, 0.00030946583880634744, -0.011335941078229373,
+     0.0022330457419581446, 0.00519663740886233, 0.0003439914407620834,
+     -0.0005910648427470583, -0.00010229972547935857, 2.0888392216992754e-05,
+     5.927665493096536e-06, -1.6423838362436276e-07, -1.5161199700940684e-07,
+     -5.907803698206668e-09, 2.0911514859478188e-09, 1.781564958329235e-10,
+     -1.6164072455353832e-11, -2.3806962496667617e-12, 5.398265295542595e-14,
+     1.9750142196969516e-14, 2.3332868732882633e-16, -1.118751761004808e-16),
+    (-0.0013397160907194568, 0.003744215136379394, -0.0013303178919321468,
+     -0.0022654660765471786, 0.0009548499998506731, 0.0006010038458963604,
+     -0.00010128858286776622, -6.865733449299826e-05, 5.985366791538599e-07,
+     3.331659851239947e-06, 2.1919289102435082e-07, -7.890884245681494e-08,
+     -9.414685081295262e-09, 9.57011621088348e-10, 1.8763137453470662e-10,
+     -4.4378376793233995e-12, -2.242673850561735e-12, -3.6276868657352434e-14,
+     1.7639809550821582e-14, 7.960765246786778e-16, -9.419651490589691e-17),
+    (0.00046483389361763383, -0.001005660736534047, 0.00024044856573725794,
+     0.0010283086149702322, -0.0007657861071755644, -0.00020365286803084818,
+     0.0002321229049106873, 3.2602144243865195e-05, -2.5579062517949524e-05,
+     -4.107464438915745e-06, 1.1781113640371294e-06, 2.445656142248458e-07,
+     -2.3915824767344323e-08, -7.505214207035756e-09, 1.3312279416258429e-10,
+     1.344062675422562e-10, 3.513770042430486e-12, -1.519154453370392e-12,
+     -8.915417681447087e-14, 1.1195891165228536e-14, 1.0516013329914816e-15,
+     -5.1786552736466835e-17),
+)
+# The same as columns, zero-padded: row j, column k holds the coefficient of
+# z^(2j + k % 2) in Ck.
+_RS_TABLE = np.array(list(itertools.zip_longest(*_RS_SERIES, fillvalue=0.0)))
+_RS_POWERS = np.arange(_RS_TABLE.shape[0])
 
-_PI2 = math.pi ** 2
-_PI4 = math.pi ** 4
-_PI6 = math.pi ** 6
-_PI8 = math.pi ** 8
-
-# Above this height the five-term remainder stays below ~5e-11 (measured);
-# below it the Euler-Maclaurin route is used instead.
+# From this height on the remainder after C4 is below Gabcke's bound
+# 0.017 t^(-11/4) <= 9.6e-11; below it the Euler-Maclaurin route is used.
 RS_CROSSOVER = 1000.0
 
 
-def _psi_derivatives(p):
-    """Scaled Taylor coefficients d[k] of Psi at p, or at each p of an array
-    (then d[k] is an array over p)."""
-    w = np.asarray(p)[..., None] + _PSI_CIRCLE
-    vals = np.cos(TWO_PI * (w * w - w - 1.0 / 16.0)) / np.cos(TWO_PI * w)
-    coefs = np.fft.fft(vals, axis=-1)[..., :_PSI_ORDER] / _PSI_SAMPLES
-    return (coefs * _PSI_PHASE * _PSI_SCALE).real.T
+def _rs_terms(p):
+    """C0..C4 at p in [0, 1); each a float for one p, or an array over p."""
+    z = 2.0 * p - 1.0
+    c = (np.asarray(z * z)[..., None] ** _RS_POWERS @ _RS_TABLE).T
+    return c[0], z * c[1], c[2], z * c[3], c[4]
 
 
 def _rs_correction(tau, m):
     """Remainder terms C0..C4 of the Riemann-Siegel formula at
     tau = sqrt(t/2pi), m = floor(tau); for scalars or arrays of them."""
-    d = _psi_derivatives(tau - m)
-    c = (
-        d[0],
-        -d[3] / (96.0 * _PI2),
-        d[2] / (64.0 * _PI2) + d[6] / (18432.0 * _PI4),
-        -d[1] / (64.0 * _PI2) - d[5] / (3840.0 * _PI4)
-        - d[9] / (5308416.0 * _PI6),
-        d[0] / (128.0 * _PI2) + 19.0 * d[4] / (24576.0 * _PI4)
-        + 11.0 * d[8] / (5898240.0 * _PI6) + d[12] / (2038431744.0 * _PI8),
-    )
-    remainder = sum(c[k] * tau ** (-k) for k in range(5))
+    c0, c1, c2, c3, c4 = _rs_terms(tau - m)
+    u = 1.0 / tau
+    remainder = c0 + u * (c1 + u * (c2 + u * (c3 + u * c4)))
     return (-1) ** (m - 1) * tau ** -0.5 * remainder
 
 
-def _rs_asymptotic(t: float) -> float:
-    """Riemann-Siegel formula: main sum plus remainder terms C0..C4."""
-    tau = math.sqrt(t / TWO_PI)
-    m = int(tau)
-    terms = np.cos(_theta_series(t) - t * _logs(m)) / np.sqrt(
-        np.arange(1, m + 1))
-    return 2.0 * float(terms.sum()) + _rs_correction(tau, m)
+def _rs_z(t, tau, m):
+    """Riemann-Siegel formula at tau = sqrt(t/2pi), m = floor(tau): twice
+    the cosine sum over n <= m plus the remainder terms C0..C4."""
+    return 2.0 * _cos_sum(t, _theta_series(t), m) + _rs_correction(tau, m)
 
 
-def _rs_rows(t: np.ndarray) -> np.ndarray:
-    """_rs_asymptotic at every t of one block; terms n > m(t) are masked."""
-    tau = np.sqrt(t / TWO_PI)
-    m = tau.astype(int)
-    logs = _logs(int(m.max()))
-    n = np.arange(1, logs.size + 1)
-    terms = np.cos(_theta_series(t)[:, None] - t[:, None] * logs) / np.sqrt(n)
-    terms[n > m[:, None]] = 0.0
-    return 2.0 * terms.sum(axis=1) + _rs_correction(tau, m)
+def _em_z(t, theta, m):
+    """Z below RS_CROSSOVER at phase theta and cutoff m: the cosine sum over
+    n <= m plus Re(exp(i theta) times the Euler-Maclaurin tail of
+    zeta(1/2 + i t))."""
+    tail = _em_correct(0.0, 0.5 + 1j * t, m)
+    return _cos_sum(t, theta, m) + (np.exp(1j * theta) * tail).real
 
 
 def riemann_siegel_Z(t: float) -> float:
     """Real Z(t) whose sign changes bracket the critical-line zeros.
 
-    Below t = 10 the value is the Euler-Maclaurin zeta times the exact phase
-    factor. Above it the asymptotic phase series is used, with the
-    Euler-Maclaurin sum up to RS_CROSSOVER and the Riemann-Siegel asymptotic
-    formula beyond.
+    Below RS_CROSSOVER the value is the Euler-Maclaurin route, with the exact
+    phase below t = 10 and the asymptotic phase series above it; from
+    RS_CROSSOVER on it is the Riemann-Siegel asymptotic formula.
     """
     if t < 0.0:
         raise DomainError(f"Z is evaluated for t >= 0, got {t}")
-    if t < 10.0:
-        return (np.exp(1j * _theta_exact(t)) * zeta_half(t)).real
-    if t < RS_CROSSOVER:
-        return (np.exp(1j * riemann_siegel_theta(t)) * zeta_half(t)).real
-    return _rs_asymptotic(t)
+    if t >= RS_CROSSOVER:
+        tau = math.sqrt(t / TWO_PI)
+        return float(_rs_z(t, tau, int(tau)))
+    theta = _theta_exact(t) if t < 10.0 else _theta_series(t)
+    return float(_em_z(t, theta, int(_em_cutoff(t))))
 
 
-# Most complex terms one block of _z_batch holds (16 MiB of complex128), so
-# the batch's working set stays a few blocks wide whatever the grid's size.
+# Most cosine terms (float64, 8 MiB) one block of _z_batch holds, so the
+# batch's working set stays a few blocks wide whatever the grid's size.
 _Z_BLOCK_TERMS = 2 ** 20
 
 
-def _blockwise(rows, t: np.ndarray, terms_per_row: int) -> np.ndarray:
-    """rows(t), evaluated on consecutive blocks of at most _Z_BLOCK_TERMS
-    terms, where each t needs terms_per_row of them."""
-    step = max(1, _Z_BLOCK_TERMS // terms_per_row)
-    parts = [rows(t[i:i + step]) for i in range(0, t.size, step)]
-    return np.concatenate(parts) if parts else t
+def _blockwise(rows, *cols) -> np.ndarray:
+    """rows(*cols) on consecutive blocks of at most _Z_BLOCK_TERMS terms,
+    where the last column holds each row's cutoff m (its number of terms)."""
+    step = _Z_BLOCK_TERMS // max(1, int(cols[-1].max(initial=0)))
+    parts = [rows(*(c[i:i + step] for c in cols))
+             for i in range(0, cols[0].size, step)]
+    return np.concatenate(parts) if parts else cols[0]
 
 
 def _z_batch(ts: np.ndarray) -> np.ndarray:
-    """riemann_siegel_Z at every point of ts, by the same routes and constants.
+    """riemann_siegel_Z at every point of ts, by the same routes and formulas.
 
-    Each route sums a matrix of terms (one row per t, the terms past the row's
-    cutoff masked), block by block. Sorted input keeps the padding small,
-    since a block is as wide as its largest cutoff.
+    Each route sums a matrix of real cosine terms (one row per t, the terms
+    past the row's cutoff masked), block by block. Sorted input keeps the
+    padding small, since a block is as wide as its largest cutoff.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
@@ -355,11 +378,10 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     theta = np.empty_like(t)
     theta[low] = _theta_exact(t[low])
     theta[~low] = _theta_series(t[~low])
-    zeta = _blockwise(_zeta_half_rows, t, int(_em_cutoff(t.max(initial=0.0))))
-    z[em] = (np.exp(1j * theta) * zeta).real
+    z[em] = _blockwise(_em_z, t, theta, _em_cutoff(t))
     t = ts[~em]
-    z[~em] = _blockwise(_rs_rows, t, _PSI_SAMPLES + int(
-        math.sqrt(t.max(initial=0.0) / TWO_PI)))
+    tau = np.sqrt(t / TWO_PI)
+    z[~em] = _blockwise(_rs_z, t, tau, tau.astype(int))
     return z
 
 

@@ -101,3 +101,35 @@ def zetazero_mpmath(n: int) -> float:
 def nzeros_mpmath(t: float) -> int:
     """Number of zeros with ordinate in (0, t]."""
     return int(mp.nzeros(t))
+
+
+def rs_remainder_terms_mpmath(p: float) -> list[float]:
+    """C0..C4 of the Riemann-Siegel remainder at p = frac(sqrt(t / 2 pi)),
+    as combinations of the derivatives of
+
+        Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p)
+
+    (Edwards, Riemann's Zeta Function, ch. 7), differentiated numerically in
+    multiprecision. Psi has removable singularities at p = 1/4 + k/2, so the
+    difference stencil is shifted half a step off p, and 60 extra bits
+    (addprec) keep the near 0/0 quotients there accurate.
+    """
+    def psi(x):
+        return (mp.cos(2 * mp.pi * (x * x - x - mp.mpf(1) / 16))
+                / mp.cos(2 * mp.pi * x))
+
+    with mp.workdps(20):
+        d = {k: mp.diff(psi, mp.mpf(p), k, singular=True, addprec=60)
+             for k in (0, 1, 2, 3, 4, 5, 6, 8, 9, 12)}
+        pi2 = mp.pi ** 2
+        terms = (
+            d[0],
+            -d[3] / (96 * pi2),
+            d[2] / (64 * pi2) + d[6] / (18432 * pi2 ** 2),
+            -d[1] / (64 * pi2) - d[5] / (3840 * pi2 ** 2)
+            - d[9] / (5308416 * pi2 ** 3),
+            d[0] / (128 * pi2) + 19 * d[4] / (24576 * pi2 ** 2)
+            + 11 * d[8] / (5898240 * pi2 ** 3)
+            + d[12] / (2038431744 * pi2 ** 4),
+        )
+        return [float(c) for c in terms]

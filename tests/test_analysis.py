@@ -254,6 +254,17 @@ def test_reconstruct_matches_inverse_transform(zeros100_series):
     assert np.max(np.abs(result.values - idft(spec))) < 1e-9
 
 
+def test_reconstruct_all_bins_is_the_plain_inverse_fft(zeros100_series):
+    # "all" and k = N skip the ranking; the result is the inverse FFT itself
+    spec = dft(zeros100_series)
+    plain = np.fft.ifft(spec.bins).real
+    for k in ("all", spec.nbins):
+        result = reconstruct(spec, k)
+        assert result.terms_used == spec.nbins
+        assert np.array_equal(result.values, plain)
+        assert np.array_equal(result.bin_indices, np.arange(spec.nbins))
+
+
 def test_reconstruct_k_validation(zeros100_series):
     spec = dft(zeros100_series)
     with pytest.raises(ValueError):

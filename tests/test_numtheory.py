@@ -10,10 +10,11 @@ from zetaspectra import (DomainError, EventKind, EventSource, MissedZeroError,
                          zero_count_estimate, zeta_half)
 
 from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _refine,
-                                   _theta_exact, _z_batch)
+                                   _rs_terms, _theta_exact, _z_batch)
 
 from conftest import ZEROS_BELOW_100
-from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath, theta_mpmath,
+from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
+                     rs_remainder_terms_mpmath, theta_mpmath,
                      trial_division_primes, zetazero_mpmath)
 
 # True zero counts below T (multiprecision oracle), next to what the smooth
@@ -113,15 +114,51 @@ def test_exact_theta_against_multiprecision():
     assert worst < 1e-13
 
 
+def test_Z_within_error_model_of_multiprecision():
+    # Below the crossover the Euler-Maclaurin tail after 12 terms at
+    # M = ceil(0.8 t) is below 1e-19, and a phase error only enters Z to
+    # second order; what is left is rounding. Each phase theta - t log n,
+    # of size up to t log t, carries about u t log M (u = 2^-53) at most
+    # 7.4e-13 below t = 1000, and over the M terms weighted by n^-1/2 these
+    # add like sqrt(sum 1/n) = sqrt(log M + 0.58) < 2.7 of them: 2e-12.
+    em = np.linspace(10.0, RS_CROSSOVER, 40, endpoint=False)
+    worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
+                for t in em)
+    assert worst < 2e-12
+    # Above it the remainder after C4 is at most 0.017 t^(-11/4) (Gabcke,
+    # PhD thesis, Goettingen 1979), 9.6e-11 at t = 1000, the same order as
+    # the first omitted term C5 tau^(-11/2). The same rounding model gives
+    # 2 sqrt(log m + 0.58) u t log m: 1e-12 at t = 1000, 1.5e-11 at 9000,
+    # where Gabcke's bound is 2.3e-13. The points crowd towards 1000.
+    rs = RS_CROSSOVER + 8000.0 * np.linspace(0.0, 1.0, 40) ** 2
+    worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
+                for t in rs)
+    assert worst < 1e-10
+
+
+def test_remainder_table_against_multiprecision():
+    # the tabulated series of C0..C4 against derivatives of their defining
+    # kernel, at both ends, the removable points 1/4 and 3/4, the centre
+    # and 20 points between, one p at a time and all in one array
+    ps = np.concatenate([[0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)],
+                         np.linspace(0.02, 0.98, 20)])
+    want = np.array([rs_remainder_terms_mpmath(float(p)) for p in ps])
+    got = np.array([_rs_terms(float(p)) for p in ps])
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert np.max(np.abs(np.array(_rs_terms(ps)).T - want)) < 1e-14
+
+
 def test_batched_Z_matches_scalar():
     # both ends of the exact-phase route, both crossovers exactly, and a grid
-    # up to 9000 whose points fill more than one block on each route
-    grid = np.linspace(0.0, 9000.0, 20001)
+    # up to 9000 whose points fill more than one block on each route: a row
+    # holds M = ceil(0.8 t) terms below the crossover, floor(tau) above it
+    grid = np.linspace(0.0, 9000.0, 40001)
     ts = np.concatenate([[0.0, 1e-3, 0.5, 9.999, 10.0, RS_CROSSOVER,
                           np.nextafter(RS_CROSSOVER, 0.0)], grid])
     em, rs = grid[grid < RS_CROSSOVER], grid[grid >= RS_CROSSOVER]
     assert em.size * math.ceil(0.8 * em.max()) > _Z_BLOCK_TERMS
-    assert rs.size * 64 > _Z_BLOCK_TERMS
+    assert rs.size * math.floor(math.sqrt(rs.max() / (2 * math.pi))) \
+        > _Z_BLOCK_TERMS
     batch = _z_batch(ts)
     scalar = np.array([riemann_siegel_Z(float(t)) for t in ts])
     assert np.max(np.abs(batch - scalar)) < 1e-12
