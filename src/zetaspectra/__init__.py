@@ -7,30 +7,27 @@ from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
                        ReconstructionResult, detect_peaks, fermat_spiral,
                        frequency_ratio_series, pnt_ratio, reciprocal_series,
                        reconstruct)
-from .grid import GridSpec, MangoldtSeries, build_series, sample_index
-from .numtheory import (DomainError, EventKind, EventSequence, EventSource,
-                        MissedZeroError, ZeroTableError, find_zeros,
-                        load_zeros, riemann_siegel_Z, riemann_siegel_theta,
-                        sieve_primes, synthetic_train, zero_count_estimate,
-                        zeta_half)
+from .grid import GridSpec, MangoldtSeries, build_series
+from .numtheory import (DomainError, EventSequence, MissedZeroError,
+                        ZeroTableError, find_zeros, load_zeros,
+                        riemann_siegel_Z, sieve_primes, synthetic_train,
+                        zero_count_estimate)
 from .spectral import (ParsevalReport, PeriodicityReport, Spectrum,
                        SymmetryReport, amplitude_phase,
-                       conjugate_symmetry_check, dft, dft_direct, dft_values,
-                       idft, idft_complex, parseval_check, periodicity_check)
+                       conjugate_symmetry_check, dft, dft_direct, idft,
+                       parseval_check, periodicity_check)
 
 __all__ = [
     "__version__",
     # numtheory
     "DomainError", "MissedZeroError", "ZeroTableError",
-    "EventKind", "EventSource", "EventSequence",
-    "sieve_primes", "synthetic_train", "zeta_half", "riemann_siegel_theta",
-    "riemann_siegel_Z", "find_zeros", "load_zeros", "zero_count_estimate",
+    "EventSequence", "sieve_primes", "synthetic_train", "riemann_siegel_Z",
+    "find_zeros", "load_zeros", "zero_count_estimate",
     # grid
-    "GridSpec", "MangoldtSeries", "sample_index", "build_series",
+    "GridSpec", "MangoldtSeries", "build_series",
     # spectral
-    "Spectrum", "PeriodicityReport", "SymmetryReport",
-    "ParsevalReport", "dft", "dft_values", "dft_direct", "idft",
-    "idft_complex", "amplitude_phase", "periodicity_check",
+    "Spectrum", "PeriodicityReport", "SymmetryReport", "ParsevalReport",
+    "dft", "dft_direct", "idft", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis
     "FrequencyRatioReport", "ReciprocalReport", "PeakReport",

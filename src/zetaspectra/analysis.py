@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import DomainError, sieve_primes
-from .spectral import Spectrum, idft_complex
+from .spectral import Spectrum, idft
 
 __all__ = [
     "FrequencyRatioReport",
@@ -170,7 +170,7 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
         if not 1 <= k <= n:
             raise ValueError(f"k_terms must be in 1..{n} or 'all', got {k_terms}")
 
-    chosen = np.ones(n, dtype=bool)
+    chosen, bins = np.ones(n, dtype=bool), spectrum.bins
     if k < n:  # with every bin chosen the ranking decides nothing
         # amplitude descending, ties to the lower bin index
         top = np.lexsort((np.arange(n), -np.abs(spectrum.bins)))[:k]
@@ -178,10 +178,11 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
         chosen[top] = True
         # close under conjugate partners so the partial sum stays real
         chosen[(n - top) % n] = True
-    recon = np.fft.ifft(np.where(chosen, spectrum.bins, 0.0)).real
+        bins = np.where(chosen, bins, 0.0)
+    recon = np.fft.ifft(bins).real
 
     if original is None:
-        target = idft_complex(spectrum).real
+        target = idft(spectrum)
     else:
         target = np.asarray(original, dtype=float)
         if target.shape != (n,):

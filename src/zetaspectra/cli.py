@@ -10,9 +10,10 @@ directory is created).
 from __future__ import annotations
 
 import argparse
+import math
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,8 @@ from .emit import (write_manifest, write_peaks_csv, write_pnt_csv,
                    write_ratios_csv, write_recon_csv, write_series_csv,
                    write_spectrum_csv, write_spiral_csv)
 from .grid import GridSpec, MangoldtSeries, build_series
-from .numtheory import (DomainError, EventKind, EventSequence, EventSource,
-                        ZeroTableError, find_zeros, load_zeros, sieve_primes,
-                        synthetic_train)
+from .numtheory import (DomainError, EventSequence, ZeroTableError,
+                        find_zeros, load_zeros, sieve_primes, synthetic_train)
 from . import spectral
 from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
                        periodicity_check)
@@ -45,8 +45,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The run options and their defaults, the one list of either."""
+
     source: str = "zeros-computed"
-    t_max: float | None = None  # default 100 where a bound is needed
+    t_max: float | None = None  # see bound
     limit: int = 100
     gap: float = 10.0
     delta: float = 1.0
@@ -59,7 +61,14 @@ class RunConfig:
     z_values: tuple[int, ...] = (1, 2, 3)
     tol: float = 1e-9
 
+    @property
+    def bound(self) -> float:  # the upper ordinate where one is needed
+        return 100.0 if self.t_max is None else self.t_max
+
     def validate(self) -> None:
+        for name in ("t_max", "gap", "delta", "tol"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite")
         if self.source not in SOURCES:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "zeros-file" and not self.zero_file:
@@ -107,8 +116,8 @@ def _log(msg: str) -> None:
 def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
     """The run's events and a one-line description of where they came from."""
     if config.source == "zeros-computed":
-        t_max = config.t_max if config.t_max is not None else 100.0
-        return find_zeros(0.0, t_max), f"zeta zeros computed up to t = {t_max}"
+        return (find_zeros(0.0, config.bound),
+                f"zeta zeros computed up to t = {config.bound}")
     if config.source == "zeros-file":
         try:
             events = load_zeros(config.zero_file)
@@ -118,14 +127,11 @@ def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
         if config.t_max is None:
             return events, what
         keep = events.events[events.events <= config.t_max]
-        return (EventSequence(keep, EventKind.ZETA_ZEROS, EventSource.FILE),
-                f"{what}, clipped at t = {config.t_max}")
+        return EventSequence(keep), f"{what}, clipped at t = {config.t_max}"
     if config.source == "primes":
         return sieve_primes(config.limit), f"primes up to {config.limit}"
-    if config.length is not None:
-        top = (config.length - 1) * config.delta
-    else:
-        top = config.t_max if config.t_max is not None else 100.0
+    top = (config.bound if config.length is None
+           else (config.length - 1) * config.delta)
     return (synthetic_train(config.gap, top),
             f"synthetic impulse train, gap {config.gap}, up to {top}")
 
@@ -219,21 +225,8 @@ def run(config: RunConfig) -> int:
         emitted("pnt.csv", write_pnt_csv(out_dir / "pnt.csv", checkpoints))
 
     manifest = {
-        "config_echo": {
-            "source": config.source,
-            "t_max": config.t_max,
-            "limit": config.limit,
-            "gap": config.gap,
-            "delta": config.delta,
-            "length": grid.length,
-            "zero_file": config.zero_file,
-            "out_dir": str(out_dir),
-            "emit": list(config.emit),
-            "k_terms": config.k_terms,
-            "threshold_fraction": config.threshold_fraction,
-            "z_values": list(config.z_values),
-            "tol": config.tol,
-        },
+        "config_echo": dict(asdict(config), length=grid.length,
+                            out_dir=str(out_dir)),
         "files": files,
         "checks": checks,
         "versions": {
@@ -336,10 +329,9 @@ def selftest(corrupt: str | None = None) -> int:
 def _parse_emit(text: str) -> tuple[str, ...]:
     if text == "all":
         return EMIT_CHOICES
-    if text in ("none", ""):
+    if text == "none":
         return ()
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    return names
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_z(text: str) -> tuple[int, ...]:
@@ -357,38 +349,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "reconstruction.")
     sub = parser.add_subparsers(dest="command")
 
-    runp = sub.add_parser("run", help="execute the pipeline and emit CSV data")
-    runp.add_argument("--source", choices=SOURCES, default="zeros-computed",
-                      help="event sequence to analyse (default zeros-computed)")
-    runp.add_argument("--t-max", type=float, default=None,
+    # no defaults here: an option left out keeps RunConfig's
+    d = RunConfig()
+    runp = sub.add_parser("run", help="execute the pipeline and emit CSV data",
+                          argument_default=argparse.SUPPRESS)
+    runp.add_argument("--source", choices=SOURCES,
+                      help=f"event sequence to analyse (default {d.source})")
+    runp.add_argument("--t-max", type=float,
                       help="upper ordinate for computed zeros and synthetic "
-                           "trains (default 100); clips loaded zero tables "
-                           "only when given")
-    runp.add_argument("--limit", type=int, default=100,
-                      help="prime sieve bound for --source primes (default 100)")
-    runp.add_argument("--gap", type=float, default=10.0,
-                      help="event spacing for --source synthetic (default 10)")
-    runp.add_argument("--delta", type=float, default=1.0,
-                      help="sampling period (default 1)")
-    runp.add_argument("--length", type=int, default=None,
+                           f"trains (default {d.bound:g}); clips loaded zero "
+                           "tables only when given")
+    runp.add_argument("--limit", type=int, help="prime sieve bound for "
+                      f"--source primes (default {d.limit})")
+    runp.add_argument("--gap", type=float, help="event spacing for "
+                      f"--source synthetic (default {d.gap:g})")
+    runp.add_argument("--delta", type=float,
+                      help=f"sampling period (default {d.delta:g})")
+    runp.add_argument("--length", type=int,
                       help="sample count; default covers the largest event")
-    runp.add_argument("--zero-file", default=None,
+    runp.add_argument("--zero-file",
                       help="ordinate table for --source zeros-file")
-    runp.add_argument("--out", default="out", help="output directory")
-    runp.add_argument("--emit", type=_parse_emit, default=EMIT_CHOICES,
-                      metavar="LIST",
+    runp.add_argument("--out", dest="out_dir", metavar="OUT",
+                      help=f"output directory (default {d.out_dir})")
+    runp.add_argument("--emit", type=_parse_emit, metavar="LIST",
                       help="comma list from "
                            f"{{{','.join(EMIT_CHOICES)}}}, or all / none "
                            "(default all)")
-    runp.add_argument("--k-terms", default="all",
-                      help="bins used in the reconstruction (default all)")
-    runp.add_argument("--threshold", type=float, default=0.5,
-                      help="peak floor as a fraction of the strongest "
-                           "non-DC amplitude (default 0.5)")
-    runp.add_argument("--z", type=_parse_z, default=(1, 2, 3), metavar="LIST",
-                      help="periodicity shift multiples (default 1,2,3)")
-    runp.add_argument("--tol", type=float, default=1e-9,
-                      help="tolerance for the property checks (default 1e-9)")
+    runp.add_argument("--k-terms", help="bins used in the reconstruction "
+                      f"(default {d.k_terms})")
+    runp.add_argument("--threshold", type=float, dest="threshold_fraction",
+                      metavar="THRESHOLD",
+                      help="peak floor as a fraction of the strongest non-DC "
+                           f"amplitude (default {d.threshold_fraction})")
+    runp.add_argument("--z", type=_parse_z, dest="z_values", metavar="LIST",
+                      help="periodicity shift multiples (default "
+                           f"{','.join(map(str, d.z_values))})")
+    runp.add_argument("--tol", type=float, help="tolerance for the property "
+                      f"checks (default {d.tol:g})")
 
     sub.add_parser("selftest",
                    help="run the embedded invariant suites on fixtures")
@@ -403,21 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "run":
         parser.print_help(sys.stderr)
         return 2
-    config = RunConfig(
-        source=args.source,
-        t_max=args.t_max,
-        limit=args.limit,
-        gap=args.gap,
-        delta=args.delta,
-        length=args.length,
-        zero_file=args.zero_file,
-        out_dir=args.out,
-        emit=args.emit,
-        k_terms=args.k_terms,
-        threshold_fraction=args.threshold,
-        z_values=args.z,
-        tol=args.tol,
-    )
+    del args.command
+    config = RunConfig(**vars(args))
     try:
         return run(config)
     except (ConfigError, DomainError, ZeroTableError) as exc:

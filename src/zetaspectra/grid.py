@@ -9,58 +9,39 @@ import numpy as np
 
 from .numtheory import EventSequence
 
-__all__ = ["GridSpec", "MangoldtSeries", "sample_index", "build_series"]
+__all__ = ["GridSpec", "MangoldtSeries", "build_series"]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling description: period delta, sample count length, origin.
+    """Sampling description: period delta and sample count length.
 
-    Sample index k sits at location origin + k*delta for k = 0..length-1.
+    Sample index k sits at location k*delta for k = 0..length-1.
     """
 
     delta: float
     length: int
-    origin: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.length < 2:
             raise ValueError(f"length must be >= 2, got {self.length}")
 
     @classmethod
-    def for_events(cls, events: EventSequence, delta: float = 1.0,
-                   origin: float = 0.0) -> "GridSpec":
-        """Smallest grid covering every event: length ceil((max-origin)/delta)+1."""
-        if len(events) == 0:
-            return cls(delta=delta, length=2, origin=origin)
-        top = float(events.events[-1])
-        length = max(2, int(math.ceil((top - origin) / delta)) + 1)
-        return cls(delta=delta, length=length, origin=origin)
+    def for_events(cls, events: EventSequence, delta: float = 1.0) -> "GridSpec":
+        """Smallest grid covering every event: length ceil(max/delta)+1."""
+        top = float(events.events[-1]) if len(events) else 0.0
+        return cls(delta=delta, length=max(2, int(math.ceil(top / delta)) + 1))
 
     def locations(self) -> np.ndarray:
-        return self.origin + self.delta * np.arange(self.length, dtype=float)
-
-    @property
-    def span(self) -> float:
-        """Total covered extent length*delta, in location units."""
-        return self.length * self.delta
+        return self.delta * np.arange(self.length, dtype=float)
 
 
 def _nearest_indices(x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    # floor((x - origin)/delta + 0.5) per location; out-of-range ones dropped
-    idx = np.floor((np.asarray(x, dtype=float) - grid.origin) / grid.delta + 0.5)
+    # nearest sample floor(x/delta + 0.5), ties half-up; out-of-range dropped
+    idx = np.floor(np.asarray(x, dtype=float) / grid.delta + 0.5)
     return idx[(idx >= 0) & (idx < grid.length)].astype(np.intp)
-
-
-def sample_index(x: float, grid: GridSpec) -> int | None:
-    """Nearest sample index for location x, ties rounded half-up.
-
-    Returns None when the nearest index falls outside 0..length-1.
-    """
-    idx = _nearest_indices([x], grid)
-    return int(idx[0]) if idx.size else None
 
 
 @dataclass(frozen=True)
@@ -88,14 +69,12 @@ class MangoldtSeries:
     def mark_count(self) -> int:
         return int(np.count_nonzero(self.values))
 
-    def __len__(self) -> int:
-        return self.grid.length
-
 
 def build_series(events: EventSequence, grid: GridSpec) -> MangoldtSeries:
     """Mark the nearest in-range sample of every event with weight one.
 
-    Two events in one cell still give value 1.
+    Event x marks index floor(x/delta + 0.5), ties rounded half-up; an index
+    outside 0..length-1 is dropped. Two events in one cell still give value 1.
     """
     values = np.zeros(grid.length)
     values[_nearest_indices(events.events, grid)] = 1.0

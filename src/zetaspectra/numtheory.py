@@ -28,7 +28,6 @@ batch (``_z_batch``: the same routes and formulas as the scalar
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,13 +39,9 @@ __all__ = [
     "DomainError",
     "MissedZeroError",
     "ZeroTableError",
-    "EventKind",
-    "EventSource",
     "EventSequence",
     "sieve_primes",
     "synthetic_train",
-    "zeta_half",
-    "riemann_siegel_theta",
     "riemann_siegel_Z",
     "find_zeros",
     "load_zeros",
@@ -68,25 +63,11 @@ class ZeroTableError(ValueError):
     """Malformed zero-table file (bad literal or broken ordering)."""
 
 
-class EventKind(enum.Enum):
-    ZETA_ZEROS = "zeta_zeros"
-    PRIMES = "primes"
-    CUSTOM = "custom"
-
-
-class EventSource(enum.Enum):
-    COMPUTED = "computed"
-    FILE = "file"
-    SYNTHETIC = "synthetic"
-
-
 @dataclass(frozen=True)
 class EventSequence:
-    """Strictly increasing positive event locations with a provenance label."""
+    """Strictly increasing positive event locations."""
 
     events: np.ndarray
-    kind: EventKind
-    source: EventSource
 
     def __post_init__(self):
         arr = np.asarray(self.events, dtype=float)
@@ -119,7 +100,7 @@ def sieve_primes(limit: int) -> EventSequence:
         if flags[p]:
             flags[p * p:: p] = False
     primes = np.nonzero(flags)[0].astype(float)
-    return EventSequence(primes, EventKind.PRIMES, EventSource.COMPUTED)
+    return EventSequence(primes)
 
 
 def synthetic_train(gap: float, t_max: float) -> EventSequence:
@@ -128,7 +109,7 @@ def synthetic_train(gap: float, t_max: float) -> EventSequence:
         raise DomainError(f"need 0 < gap <= t_max, got gap={gap}, t_max={t_max}")
     n = int(math.floor(t_max / gap))
     events = gap * np.arange(1, n + 1, dtype=float)
-    return EventSequence(events, EventKind.CUSTOM, EventSource.SYNTHETIC)
+    return EventSequence(events)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +159,10 @@ def _em_cutoff(t):
     return np.maximum(20, np.ceil(_EM_M_FACTOR * t)).astype(int)
 
 
-def _em_correct(total, s, m):
-    """total plus the Euler-Maclaurin tail after the first m terms of
-    sum n^-s; elementwise on arrays of total, s and m as well as on scalars.
-    """
-    total = total + m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
+def _em_tail(s, m):
+    """The Euler-Maclaurin tail after the first m terms of sum n^-s;
+    elementwise on arrays of s and m as well as on scalars."""
+    total = m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
     rising = s
     mpow = m ** (-s - 1.0)
     for k in range(1, _EM_TERMS + 1):
@@ -192,38 +172,17 @@ def _em_correct(total, s, m):
     return total
 
 
-def zeta_half(t: float) -> complex:
-    """zeta(1/2 + i*t) for real t >= 0.
-
-    Euler-Maclaurin form with M = max(20, ceil(0.8 t)) leading terms:
-
-        sum_{n<=M} n^-s  +  M^(1-s)/(s-1)  -  M^-s/2
-        + sum_{k=1}^{12} B_{2k}/(2k)! * s(s+1)...(s+2k-2) * M^(-s-2k+1)
-    """
-    if t < 0.0:
-        raise DomainError(f"zeta_half needs t >= 0, got {t}")
-    s = complex(0.5, t)
-    m = int(_em_cutoff(t))
-    return _em_correct(complex(np.exp(-s * _n_terms(m)[0]).sum()), s, m)
-
-
 # ---------------------------------------------------------------------------
 # Riemann-Siegel Z
 # ---------------------------------------------------------------------------
 
-def riemann_siegel_theta(t: float) -> float:
-    """Phase theta(t) by its asymptotic series through the 1/t^3 term.
+def _theta_series(t):
+    """Phase theta(t) by its asymptotic series through the 1/t^3 term, for
+    one t > 0 or an array:
 
     theta(t) = t/2 log(t/2pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3).
     Absolute error ~4e-9 at t = 10, falling like t^-5.
     """
-    if t <= 0.0:
-        raise DomainError(f"asymptotic theta needs t > 0, got {t}")
-    return _theta_series(t)
-
-
-def _theta_series(t):
-    """riemann_siegel_theta without the domain check, for one t or an array."""
     return ((t / 2.0) * np.log(t / TWO_PI) - t / 2.0 - math.pi / 8.0
             + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3))
 
@@ -327,7 +286,7 @@ def _em_z(t, theta, m):
     """Z below RS_CROSSOVER at phase theta and cutoff m: the cosine sum over
     n <= m plus Re(exp(i theta) times the Euler-Maclaurin tail of
     zeta(1/2 + i t))."""
-    tail = _em_correct(0.0, 0.5 + 1j * t, m)
+    tail = _em_tail(0.5 + 1j * t, m)
     return _cos_sum(t, theta, m) + (np.exp(1j * theta) * tail).real
 
 
@@ -467,8 +426,9 @@ def find_zeros(
     endpoint, so the allowed band is 1 for scans anchored at 0 and 2
     otherwise.
     """
-    if t_min < 0.0 or t_min >= t_max:
-        raise DomainError(f"need 0 <= t_min < t_max, got ({t_min}, {t_max})")
+    if not 0.0 <= t_min < t_max < math.inf:
+        raise DomainError(
+            f"need 0 <= t_min < t_max < inf, got ({t_min}, {t_max})")
     if scan_step <= 0.0:
         raise DomainError(f"scan_step must be positive, got {scan_step}")
     if bisect_width <= 0.0:
@@ -500,8 +460,7 @@ def find_zeros(
                 f"found {len(zeros)} zeros in ({t_min}, {t_max}] but the "
                 f"counting estimate gives {expected}; the scan step "
                 f"{scan_step} is too coarse to separate adjacent zeros")
-    return EventSequence(np.array(zeros), EventKind.ZETA_ZEROS,
-                         EventSource.COMPUTED)
+    return EventSequence(np.array(zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +471,26 @@ def load_zeros(path: str | Path) -> EventSequence:
     """Read one ordinate per line; '#' comments and blank lines are skipped."""
     path = Path(path)
     ordinates: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ZeroTableError(
-                    f"{path}:{lineno}: not a decimal ordinate: {line!r}") from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise ZeroTableError(
-                    f"{path}:{lineno}: ordinate must be a positive finite "
-                    f"number, got {line!r}")
-            if ordinates and value <= ordinates[-1]:
-                raise ZeroTableError(
-                    f"{path}:{lineno}: ordinate {value} does not increase "
-                    f"past {ordinates[-1]}")
-            ordinates.append(value)
-    return EventSequence(np.array(ordinates), EventKind.ZETA_ZEROS,
-                         EventSource.FILE)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ZeroTableError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ZeroTableError(
+                f"{path}:{lineno}: not a decimal ordinate: {line!r}") from None
+        if not math.isfinite(value) or value <= 0.0:
+            raise ZeroTableError(
+                f"{path}:{lineno}: ordinate must be a positive finite "
+                f"number, got {line!r}")
+        if ordinates and value <= ordinates[-1]:
+            raise ZeroTableError(
+                f"{path}:{lineno}: ordinate {value} does not increase "
+                f"past {ordinates[-1]}")
+        ordinates.append(value)
+    return EventSequence(np.array(ordinates))

@@ -31,11 +31,9 @@ __all__ = [
     "SymmetryReport",
     "ParsevalReport",
     "dft",
-    "dft_values",
     "dft_direct",
     "direct_bins",
     "idft",
-    "idft_complex",
     "amplitude_phase",
     "periodicity_check",
     "conjugate_symmetry_check",
@@ -101,17 +99,9 @@ def _spectrum_for(grid: GridSpec, bins: np.ndarray) -> Spectrum:
     return Spectrum(bins=bins, freq_step=freq_step, source_grid=grid)
 
 
-def dft_values(values: np.ndarray, grid: GridSpec) -> Spectrum:
-    """Forward transform of a raw sample array (fast path)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.length,):
-        raise ValueError("values length must match the grid")
-    return _spectrum_for(grid, np.fft.fft(values))
-
-
 def dft(series: MangoldtSeries) -> Spectrum:
     """Forward transform of an indicator series (fast path)."""
-    return dft_values(series.values, series.grid)
+    return _spectrum_for(series.grid, np.fft.fft(series.values))
 
 
 def _integers(x, what: str) -> np.ndarray:
@@ -164,18 +154,13 @@ def dft_direct(values: np.ndarray, grid: GridSpec) -> Spectrum:
     return _spectrum_for(grid, bins)
 
 
-def idft_complex(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform (1/N) sum_l X_l exp(+i 2 pi l k / N), kept complex."""
-    return np.fft.ifft(spectrum.bins)
-
-
 def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform as a real series.
+    """Inverse transform (1/N) sum_l X_l exp(+i 2 pi l k / N) as a real series.
 
     For the spectrum of a real series the discarded imaginary residue is
     below 1e-9 per sample.
     """
-    return idft_complex(spectrum).real
+    return np.fft.ifft(spectrum.bins).real
 
 
 def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:

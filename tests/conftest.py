@@ -6,8 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from zetaspectra import (EventKind, EventSequence, EventSource, GridSpec,
-                         MangoldtSeries, build_series)
+from zetaspectra import EventSequence, GridSpec, MangoldtSeries, build_series
 
 # First 29 zero ordinates (all below 100), refined with the multiprecision
 # Euler-Maclaurin oracle during development; good to ~1e-12.
@@ -43,6 +42,5 @@ def random_indicator(n, rng, density=6):
 @pytest.fixture(scope="session")
 def zeros100_series():
     """Zeros below 100 marked on the unit grid of 100 samples."""
-    events = EventSequence(np.array(ZEROS_BELOW_100), EventKind.ZETA_ZEROS,
-                           EventSource.COMPUTED)
-    return build_series(events, GridSpec(delta=1.0, length=100))
+    return build_series(EventSequence(np.array(ZEROS_BELOW_100)),
+                        GridSpec(delta=1.0, length=100))

@@ -89,6 +89,10 @@ def Z_mpmath(t: float) -> float:
     return float(mp.siegelz(t))
 
 
+def zeta_mpmath(s: float) -> float:
+    return float(mp.zeta(s))
+
+
 def theta_mpmath(t: float) -> float:
     return float(mp.siegeltheta(t))
 

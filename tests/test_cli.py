@@ -156,12 +156,23 @@ def test_usage_errors_exit_2(tmp_path):
     ("--k-terms", "500"),
     ("--z", "1,100000000000000000"),
     ("--z", "1,1"),
+    ("--t-max", "nan"),
+    ("--t-max", "inf"),
+    ("--delta", "nan"),
+    ("--source", "synthetic", "--gap", "nan"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--source", "zeros-file", "--zero-file", "UNDECODABLE"),
 ], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
-        "k-beyond-grid", "z-beyond-int64", "z-repeated"])
+        "k-beyond-grid", "z-beyond-int64", "z-repeated", "t-max-nan",
+        "t-max-inf", "delta-nan", "gap-nan", "tol-nan", "tol-inf",
+        "undecodable-table"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
-    table = tmp_path / "zeros.txt"
-    table.write_text("14.1\nnot-a-number\n")
-    args = [str(table) if a == "MALFORMED" else a for a in args]
+    tables = {"MALFORMED": tmp_path / "zeros.txt",
+              "UNDECODABLE": tmp_path / "zeros-utf16.txt"}
+    tables["MALFORMED"].write_text("14.1\nnot-a-number\n")
+    tables["UNDECODABLE"].write_text("14.1\n", encoding="utf-16")
+    args = [str(tables.get(a, a)) for a in args]
     out = tmp_path / "out"
     cp = run_cli("run", *args, "--out", str(out))
     assert cp.returncode == 2

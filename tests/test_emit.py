@@ -107,7 +107,7 @@ def rng():
 
 @pytest.fixture
 def grid():
-    return GridSpec(delta=0.37, length=ROWS, origin=-2.5)
+    return GridSpec(delta=0.37, length=ROWS)
 
 
 @pytest.fixture

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zetaspectra import (EventKind, EventSequence, EventSource, GridSpec,
-                         MangoldtSeries, build_series, sample_index)
+from zetaspectra import EventSequence, GridSpec, MangoldtSeries, build_series
 
 from conftest import ZEROS_BELOW_100_MARKS, ZEROS_BELOW_100
 
 
 def events_of(locations):
-    return EventSequence(np.asarray(sorted(locations), dtype=float),
-                         EventKind.CUSTOM, EventSource.SYNTHETIC)
+    return EventSequence(np.asarray(sorted(locations), dtype=float))
 
 
 def marks(series):
@@ -27,6 +25,9 @@ def test_gridspec_validation():
         GridSpec(delta=0.0, length=10)
     with pytest.raises(ValueError):
         GridSpec(delta=1.0, length=1)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridSpec(delta=delta, length=10)
 
 
 def test_gridspec_for_events_default_rule():
@@ -34,18 +35,23 @@ def test_gridspec_for_events_default_rule():
     grid = GridSpec.for_events(events)
     assert grid.length == 100  # ceil(98.83) + 1
     assert grid.delta == 1.0
-    assert grid.origin == 0.0
 
 
 def test_gridspec_locations():
-    grid = GridSpec(delta=0.5, length=4, origin=1.0)
-    assert list(grid.locations()) == [1.0, 1.5, 2.0, 2.5]
-    assert grid.span == 2.0
+    grid = GridSpec(delta=0.5, length=4)
+    assert list(grid.locations()) == [0.0, 0.5, 1.0, 1.5]
 
 
 # ---------------------------------------------------------------------------
-# sample_index
+# The sample index of one event: the cell build_series marks
 # ---------------------------------------------------------------------------
+
+def sample_index(x, grid):
+    """The one index a single event at x marks, or None when it is dropped."""
+    marked = marks(build_series(events_of([x]), grid))
+    assert len(marked) <= 1
+    return marked[0] if marked else None
+
 
 def test_sample_index_nearest():
     grid = GridSpec(delta=1.0, length=100)
@@ -61,17 +67,19 @@ def test_sample_index_half_up():
 def test_sample_index_out_of_range():
     grid = GridSpec(delta=1.0, length=100)
     assert sample_index(250.0, grid) is None
-    assert sample_index(-0.6, grid) is None
-    assert sample_index(-0.4, grid) == 0
+    assert sample_index(0.4, grid) == 0
     assert sample_index(99.4, grid) == 99
+    assert sample_index(99.5, grid) is None  # the tie rounds up, off the grid
     assert sample_index(99.6, grid) is None
 
 
-def test_sample_index_with_origin_and_delta():
-    grid = GridSpec(delta=0.5, length=10, origin=2.0)
-    assert sample_index(2.0, grid) == 0
-    assert sample_index(3.26, grid) == 3
-    assert sample_index(1.0, grid) is None
+def test_sample_index_with_delta():
+    grid = GridSpec(delta=0.5, length=10)
+    assert sample_index(0.2, grid) == 0
+    assert sample_index(0.25, grid) == 1
+    assert sample_index(3.26, grid) == 7
+    assert sample_index(4.7, grid) == 9
+    assert sample_index(4.75, grid) is None
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +93,7 @@ def test_build_series_zeros_to_100(zeros100_series):
 
 
 def test_build_series_empty_events():
-    empty = EventSequence(np.array([]), EventKind.CUSTOM, EventSource.SYNTHETIC)
+    empty = EventSequence(np.array([]))
     series = build_series(empty, GridSpec(delta=1.0, length=8))
     assert series.mark_count == 0
     assert np.all(series.values == 0.0)
@@ -100,12 +108,12 @@ def test_build_series_matches_per_event_rounding():
     # reference: the nearest-sample rule applied one event at a time,
     # over exact half-way ties and events beyond the grid
     rng = np.random.default_rng(17)
-    grid = GridSpec(delta=0.25, length=200, origin=1.0)
-    ties = grid.origin + grid.delta * np.arange(0.5, 250.0)
+    grid = GridSpec(delta=0.25, length=200)
+    ties = grid.delta * np.arange(0.5, 250.0)
     locs = np.unique(np.concatenate([rng.uniform(0.5, 60.0, 300), ties]))
     want = set()
     for x in locs.tolist():
-        idx = math.floor((x - grid.origin) / grid.delta + 0.5)
+        idx = math.floor(x / grid.delta + 0.5)
         if 0 <= idx < grid.length:
             want.add(idx)
     assert marks(build_series(events_of(locs), grid)) == sorted(want)

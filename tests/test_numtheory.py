@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from zetaspectra import numtheory
-from zetaspectra import (DomainError, EventKind, EventSource, MissedZeroError,
-                         ZeroTableError, find_zeros, load_zeros,
-                         riemann_siegel_Z, sieve_primes, synthetic_train,
-                         zero_count_estimate, zeta_half)
+from zetaspectra import (DomainError, MissedZeroError, ZeroTableError,
+                         find_zeros, load_zeros, riemann_siegel_Z,
+                         sieve_primes, synthetic_train, zero_count_estimate)
 
 from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _refine,
                                    _rs_terms, _theta_exact, _z_batch)
@@ -15,7 +14,7 @@ from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _refine,
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
                      rs_remainder_terms_mpmath, theta_mpmath,
-                     trial_division_primes, zetazero_mpmath)
+                     trial_division_primes, zeta_mpmath, zetazero_mpmath)
 
 # True zero counts below T (multiprecision oracle), next to what the smooth
 # counting estimate rounds to; they may differ by one, never more.
@@ -32,11 +31,8 @@ def test_sieve_small_examples():
     assert list(sieve_primes(2).events) == [2]
 
 
-def test_sieve_kind_and_order():
-    seq = sieve_primes(100)
-    assert seq.kind is EventKind.PRIMES
-    assert seq.source is EventSource.COMPUTED
-    assert np.all(np.diff(seq.events) > 0)
+def test_sieve_order():
+    assert np.all(np.diff(sieve_primes(100).events) > 0)
 
 
 @pytest.mark.parametrize("limit", [1, 0, -5])
@@ -57,7 +53,6 @@ def test_sieve_count_to_a_million():
 def test_synthetic_train():
     seq = synthetic_train(10.0, 99.0)
     assert list(seq.events) == [10, 20, 30, 40, 50, 60, 70, 80, 90]
-    assert seq.source is EventSource.SYNTHETIC
     with pytest.raises(DomainError):
         synthetic_train(0.0, 50.0)
 
@@ -75,8 +70,8 @@ def test_Z_sign_change_brackets_first_zero():
 
 
 def test_Z_at_origin_is_zeta_half():
-    # zeta(1/2), multiprecision oracle value
-    assert riemann_siegel_Z(0.0) == pytest.approx(-1.4603545088095868, abs=1e-10)
+    # theta(0) = 0, so Z(0) = zeta(1/2) = -1.4603545088095868...
+    assert riemann_siegel_Z(0.0) == pytest.approx(zeta_mpmath(0.5), abs=1e-12)
 
 
 def test_Z_rejects_negative():
@@ -170,12 +165,6 @@ def test_batched_Z_matches_scalar():
 def test_batched_Z_rejects_negative():
     with pytest.raises(DomainError):
         _z_batch(np.array([1.0, -0.5, 2.0]))
-
-
-def test_zeta_half_spot():
-    val = zeta_half(0.0)
-    assert val.real == pytest.approx(-1.4603545088095868, abs=1e-10)
-    assert abs(val.imag) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +316,9 @@ def test_find_zeros_domain_errors():
         find_zeros(-1.0, 30.0)
     with pytest.raises(DomainError):
         find_zeros(30.0, 30.0)
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            find_zeros(0.0, t_max)
     with pytest.raises(DomainError):
         find_zeros(0.0, 30.0, scan_step=0.0)
     with pytest.raises(DomainError):
@@ -342,8 +334,6 @@ def test_load_zeros_plain(tmp_path):
     p.write_text("14.134725\n21.022040\n")
     seq = load_zeros(p)
     assert list(seq.events) == [14.134725, 21.022040]
-    assert seq.source is EventSource.FILE
-    assert seq.kind is EventKind.ZETA_ZEROS
 
 
 def test_load_zeros_skips_comments_and_blanks(tmp_path):
@@ -376,4 +366,12 @@ def test_load_zeros_rejects_nonpositive(tmp_path):
     p = tmp_path / "zeros.txt"
     p.write_text("-3.0\n")
     with pytest.raises(ZeroTableError, match=":1:"):
+        load_zeros(p)
+
+
+def test_load_zeros_rejects_undecodable(tmp_path):
+    # a UTF-16 byte-order mark is not UTF-8
+    p = tmp_path / "zeros.txt"
+    p.write_bytes(b"\xff\xfe1\x004\x00.\x001\x00\n\x00")
+    with pytest.raises(ZeroTableError, match="not UTF-8 text"):
         load_zeros(p)

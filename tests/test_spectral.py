@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from zetaspectra import (GridSpec, Spectrum, amplitude_phase,
-                         conjugate_symmetry_check, dft, dft_direct,
-                         dft_values, idft, idft_complex, parseval_check,
-                         periodicity_check)
+                         conjugate_symmetry_check, dft, dft_direct, idft,
+                         parseval_check, periodicity_check)
 from zetaspectra.spectral import direct_bins
 
 from conftest import random_indicator, series_from_values
@@ -54,11 +53,13 @@ def test_fast_path_matches_direct_sum(n):
 def test_both_paths_match_brute_oracle():
     series = random_indicator(32, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    # weights other than 1, of both signs, with zeros between them
+    brute = dft_brute(list(series.values))
+    assert np.max(np.abs(dft(series).bins - brute)) < 1e-9
+    # the literal sum also takes weights other than 1, of both signs, with
+    # zeros between them
     weighted = rng.normal(scale=3.0, size=32) * (rng.random(32) < 0.4)
     for values in (series.values, weighted):
         brute = dft_brute(list(values))
-        assert np.max(np.abs(dft_values(values, series.grid).bins - brute)) < 1e-9
         assert np.max(np.abs(dft_direct(values, series.grid).bins - brute)) < 1e-9
 
 
@@ -98,13 +99,13 @@ def test_frequency_axis_respects_delta():
 
 
 def test_dft_linearity():
+    # disjoint marks, so that a + b is an indicator series too
     rng = np.random.default_rng(17)
-    grid = GridSpec(delta=1.0, length=64)
     for _ in range(5):
         a = (rng.random(64) < 0.2).astype(float)
-        b = (rng.random(64) < 0.2).astype(float)
-        lhs = dft_values(a + b, grid).bins
-        rhs = dft_values(a, grid).bins + dft_values(b, grid).bins
+        b = (rng.random(64) < 0.2) * (1.0 - a)
+        lhs = dft(series_from_values(a + b)).bins
+        rhs = dft(series_from_values(a)).bins + dft(series_from_values(b)).bins
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -146,7 +147,8 @@ def test_idft_four_point_case():
 
 def test_idft_imag_residue_small_for_real_series():
     series = random_indicator(81, np.random.default_rng(9))
-    residue = np.max(np.abs(idft_complex(dft(series)).imag))
+    # what idft discards
+    residue = np.max(np.abs(np.fft.ifft(dft(series).bins).imag))
     assert residue < 1e-9
 
 
