@@ -172,8 +172,12 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
 
     chosen, bins = np.ones(n, dtype=bool), spectrum.bins
     if k < n:  # with every bin chosen the ranking decides nothing
-        # amplitude descending, ties to the lower bin index
-        top = np.lexsort((np.arange(n), -np.abs(spectrum.bins)))[:k]
+        # the k largest amplitudes, ties at the k-th to the lower bin index
+        amp = spectrum.amplitudes
+        kth = np.partition(amp, n - k)[n - k]
+        above = np.flatnonzero(amp > kth)
+        top = np.concatenate(
+            [above, np.flatnonzero(amp == kth)[:k - above.size]])
         chosen[:] = False
         chosen[top] = True
         # close under conjugate partners so the partial sum stays real

@@ -19,11 +19,15 @@ correction:
 The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
 series above; below the crossover a phase error enters Z only to second order.
 
-Zeros are found in two passes. The scan evaluates Z on the whole grid in one
-batch (``_z_batch``: the same routes and formulas as the scalar
-``riemann_siegel_Z``, as masked matrices of cosine terms in blocks of at most
-2^20). Each sign change is then refined by safeguarded Illinois regula falsi
-(``_refine``), about five scalar ``riemann_siegel_Z`` calls per zero.
+Zeros are found in two passes. The scan evaluates Z on its uniform grid
+(``_z_grid``). Below the crossover the main sum of n^(-1/2 - it) over a
+block of 64 rows is one complex exponential per term times one table of
+rotations exp(-i j step log n) shared by the whole grid, summed as one complex
+matrix product; the rows from the crossover on, and any point off the grid, go
+through ``_z_batch`` (the same routes and formulas as the scalar
+``riemann_siegel_Z``, as masked matrices of real cosine terms). Each sign
+change is then refined by safeguarded Illinois regula falsi (``_refine``),
+about five scalar ``riemann_siegel_Z`` calls per zero.
 """
 
 from __future__ import annotations
@@ -306,8 +310,9 @@ def riemann_siegel_Z(t: float) -> float:
     return float(_em_z(t, theta, int(_em_cutoff(t))))
 
 
-# Most cosine terms (float64, 8 MiB) one block of _z_batch holds, so the
-# batch's working set stays a few blocks wide whatever the grid's size.
+# Most terms one block of _z_batch (real, 8 MiB) or one product of _z_grid
+# (complex, 16 MiB) holds, so the working set stays a few blocks wide
+# whatever the grid's size.
 _Z_BLOCK_TERMS = 2 ** 20
 
 
@@ -318,6 +323,16 @@ def _blockwise(rows, *cols) -> np.ndarray:
     parts = [rows(*(c[i:i + step] for c in cols))
              for i in range(0, cols[0].size, step)]
     return np.concatenate(parts) if parts else cols[0]
+
+
+def _theta(t: np.ndarray) -> np.ndarray:
+    """The phase at every point of t below RS_CROSSOVER: exact below t = 10,
+    the asymptotic series above."""
+    low = t < 10.0
+    theta = np.empty_like(t)
+    theta[low] = _theta_exact(t[low])
+    theta[~low] = _theta_series(t[~low])
+    return theta
 
 
 def _z_batch(ts: np.ndarray) -> np.ndarray:
@@ -333,14 +348,54 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     z = np.empty_like(ts)
     em = ts < RS_CROSSOVER
     t = ts[em]
-    low = t < 10.0
-    theta = np.empty_like(t)
-    theta[low] = _theta_exact(t[low])
-    theta[~low] = _theta_series(t[~low])
-    z[em] = _blockwise(_em_z, t, theta, _em_cutoff(t))
+    z[em] = _blockwise(_em_z, t, _theta(t), _em_cutoff(t))
     t = ts[~em]
     tau = np.sqrt(t / TWO_PI)
     z[~em] = _blockwise(_rs_z, t, tau, tau.astype(int))
+    return z
+
+
+# Rows per block of _z_grid; one table of this many rotations serves the
+# whole grid.
+_GRID_BLOCK = 64
+
+
+def _z_grid(t0: float, step: float, count: int) -> np.ndarray:
+    """Z on the uniform grid t0 + step * arange(count), t0 >= 0, step > 0.
+
+    Below RS_CROSSOVER the Euler-Maclaurin main sum S = sum n^(-1/2 - it)
+    is taken in blocks of _GRID_BLOCK rows: term n of row j in the block
+    starting at t_b is n^-1/2 exp(-i t_b log n) times exp(-i j step log n).
+    The second factor comes from one table for the whole grid, so a block
+    costs one complex exponential per term and its sums are one complex
+    matrix product. Every row of a block sums to the block's largest cutoff
+    M_b, which only makes the tail's truncation smaller; then
+    Z = Re(exp(i theta) (S + tail)). The rows from RS_CROSSOVER on go to
+    _z_batch.
+    """
+    ts = t0 + step * np.arange(count)
+    em = int(np.searchsorted(ts, RS_CROSSOVER))
+    z = np.empty(count)
+    z[em:] = _z_batch(ts[em:])
+    if em == 0:
+        return z
+    t = ts[:em]
+    # each block's cutoff, at its last row
+    m = _em_cutoff(t[np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK,
+                                          _GRID_BLOCK), em) - 1])
+    logs, rsqrt = _n_terms(int(m[-1]))
+    rotation = np.exp(-1j * (step * np.arange(_GRID_BLOCK)[:, None]) * logs)
+
+    def sums(start, m):
+        width = int(m.max())
+        terms = np.exp(-1j * (start[:, None] * logs[:width]))
+        terms *= rsqrt[:width]
+        terms[np.arange(1, width + 1) > m[:, None]] = 0.0
+        return terms @ rotation[:, :width].T
+
+    s = _blockwise(sums, t[::_GRID_BLOCK], m).ravel()[:em]
+    tail = _em_tail(0.5 + 1j * t, np.repeat(m, _GRID_BLOCK)[:em])
+    z[:em] = (np.exp(1j * _theta(t)) * (s + tail)).real
     return z
 
 
@@ -415,8 +470,9 @@ def find_zeros(
 ) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
-    Z is evaluated on the whole scan grid in one batch. Each bracket is then
-    refined by safeguarded Illinois regula falsi, with scalar
+    Z is evaluated on the uniform scan grid t_min + j * scan_step by
+    _z_grid; the last point, clipped to t_max, by _z_batch. Each bracket is
+    then refined by safeguarded Illinois regula falsi, with scalar
     riemann_siegel_Z calls, until the bracket holding the sign change is at
     most bisect_width wide (the name predates the Illinois steps: it is the
     width of the final bracket); the zero is its midpoint. With count_check the
@@ -435,8 +491,12 @@ def find_zeros(
         raise DomainError(f"bisect_width must be positive, got {bisect_width}")
 
     n_steps = int(math.ceil((t_max - t_min) / scan_step))
-    ts = np.minimum(t_min + scan_step * np.arange(n_steps + 1), t_max)
-    vals = _z_batch(ts)
+    ts = t_min + scan_step * np.arange(n_steps + 1)
+    vals = _z_grid(t_min, scan_step, ts.size)
+    # the last point is clipped to t_max, which takes it off the grid
+    off = ts > t_max
+    ts[off] = t_max
+    vals[off] = _z_batch(ts[off])
 
     zeros = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:

@@ -178,6 +178,13 @@ def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, phase
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless 0 < tol < inf: a NaN would fail every check and an
+    infinite tolerance pass any."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def periodicity_check(series: MangoldtSeries, z_values: list[int],
                       tol: float = 1e-9,
                       bins: np.ndarray | None = None) -> list[PeriodicityReport]:
@@ -193,8 +200,7 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     default is all. Bins outside 0..N-1 are taken modulo N first, which
     leaves X unchanged and keeps l + z*N inside int64.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     n = series.grid.length
     base_idx = np.arange(n) if bins is None else _integers(bins, "bins") % n
     base = direct_bins(series.values, base_idx)
@@ -213,8 +219,7 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
 
 def conjugate_symmetry_check(spectrum: Spectrum, tol: float = 1e-9) -> SymmetryReport:
     """Max over l in 1..N-1 of ||X(l)| - |X(N-l)||; real input makes it ~0."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     amp = spectrum.amplitudes
     if spectrum.nbins < 2:
         return SymmetryReport(0.0, tol, True)
@@ -226,8 +231,7 @@ def conjugate_symmetry_check(spectrum: Spectrum, tol: float = 1e-9) -> SymmetryR
 def parseval_check(series: MangoldtSeries, spectrum: Spectrum,
                    tol: float = 1e-9) -> ParsevalReport:
     """sum_k v_k^2 == (1/N) sum_l |X_l|^2, relative; equals the mark count."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     time_energy = float(np.sum(series.values ** 2))
     spectral_energy = float(np.sum(np.abs(spectrum.bins) ** 2) / spectrum.nbins)
     scale = max(time_energy, 1.0)

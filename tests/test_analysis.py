@@ -248,6 +248,20 @@ def test_reconstruct_partial_sum_matches_term_by_term():
         assert np.max(np.abs(result.values - terms)) < 1e-12
 
 
+def test_reconstruct_breaks_ties_at_the_kth_amplitude_by_index():
+    # an impulse train's spectrum: one amplitude on the support bins and
+    # zero elsewhere, so for most k the k-th amplitude is tied; the choice
+    # is the full ranking's, amplitude descending and then bin index
+    n = 24
+    exact = Spectrum(bins=np.where(np.arange(n) % 6 == 0, 6.0, 0.0) + 0j,
+                     freq_step=1.0 / n, source_grid=GridSpec(1.0, n))
+    for spec in (exact, dft(impulse_train(n, 4))):
+        for k in range(1, n):
+            top = np.lexsort((np.arange(n), -spec.amplitudes))[:k].tolist()
+            assert set(reconstruct(spec, k).bin_indices.tolist()) == (
+                set(top) | {(n - l) % n for l in top})
+
+
 def test_reconstruct_matches_inverse_transform(zeros100_series):
     spec = dft(zeros100_series)
     result = reconstruct(spec, "all")

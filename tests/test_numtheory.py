@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from zetaspectra import (DomainError, MissedZeroError, ZeroTableError,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train, zero_count_estimate)
 
-from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _refine,
-                                   _rs_terms, _theta_exact, _z_batch)
+from zetaspectra.numtheory import (_GRID_BLOCK, RS_CROSSOVER, _Z_BLOCK_TERMS,
+                                   _em_cutoff, _refine, _rs_terms,
+                                   _theta_exact, _z_batch, _z_grid)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
@@ -160,6 +162,84 @@ def test_batched_Z_matches_scalar():
     # order does not matter, only the padding of each block
     perm = np.random.default_rng(0).permutation(ts.size)
     assert np.max(np.abs(_z_batch(ts[perm]) - batch[perm])) < 1e-12
+
+
+def _grid_rows(t0, step, count):
+    """The grid t0 + step * arange(count), its number of rows below the
+    crossover, each block's cutoff (at its last row), and the rows to check:
+    the first and last rows of the first blocks, of a middle block, of the
+    blocks on both sides of the first product boundary and of the last block
+    below the crossover; rows below t = 10; the rows on both sides of the
+    crossover."""
+    ts = t0 + step * np.arange(count)
+    em = int(np.sum(ts < RS_CROSSOVER))
+    ends = np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK, _GRID_BLOCK),
+                      em)
+    m = _em_cutoff(ts[ends - 1])
+    per_product = _Z_BLOCK_TERMS // int(m[-1])
+    picked = {0, 1, 2, m.size // 2, per_product - 1, per_product, m.size - 1}
+    rows = {r for b in picked if b < m.size
+            for r in (b * _GRID_BLOCK, ends[b] - 1)}
+    rows |= set(np.flatnonzero(ts < 10.0)[::40].tolist())
+    rows |= {em - 1, em}
+    return ts, em, m, sorted(rows)
+
+
+@pytest.mark.parametrize("t0, step, t_max", [(0.0, 0.01, 1100.0),
+                                             (3.7, 0.0073, 1100.0)])
+def test_grid_Z_within_error_model_of_multiprecision(t0, step, t_max):
+    # Row j of the block that starts at row t_b sums the terms n^-1/2
+    # exp(-i t_b log n) exp(-i j step log n) to the block's cutoff M; the
+    # phases round as in test_Z_within_error_model_of_multiprecision, to
+    # u t log M sqrt(log M + 0.58). Near t = 0 that vanishes, and what is
+    # left is the arithmetic on each term: its exponential, the scaling, the
+    # table entry, the product and the sum each add at most about u of the
+    # term's size n^-1/2, 5 u sum n^-1/2 in all. The rotation stands for the
+    # point t_b + j step, while theta and the tail are taken at the row's
+    # float t: the sum S moves by at most |t_b + j step - t| |S'| between
+    # them, and |S'| <= sum_{n <= M} log n / sqrt n. From the crossover on
+    # the rows are _z_batch's, within that test's 1e-10.
+    count = 1 + math.ceil((t_max - t0) / step)
+    ts, em, m, rows = _grid_rows(t0, step, count)
+    assert m.size * int(m[-1]) > _Z_BLOCK_TERMS  # more than one product
+    z = _z_grid(t0, step, count)
+    u = 2.0 ** -53
+    for i in rows:
+        err = abs(z[i] - Z_mpmath(float(ts[i])))
+        if i >= em:
+            assert err < 1e-10, ts[i]
+            continue
+        b, j = divmod(i, _GRID_BLOCK)
+        mb = int(m[b])
+        logm = math.log(mb)
+        n = np.arange(1, mb + 1)
+        offset = abs(Fraction(float(ts[b * _GRID_BLOCK])) + j * Fraction(step)
+                     - Fraction(float(ts[i])))
+        bound = (u * ts[i] * logm * math.sqrt(logm + 0.58)
+                 + 5 * u * np.sum(1.0 / np.sqrt(n))
+                 + float(offset) * np.sum(np.log(n) / np.sqrt(n)))
+        assert err <= bound, (ts[i], err, bound)
+
+
+def test_grid_Z_signs_match_batch_on_the_scan_grid():
+    # find_zeros' grid on [0, 3000]: the brackets it refines are the same
+    count = 60001
+    ts = 0.05 * np.arange(count)
+    assert np.array_equal(np.sign(_z_grid(0.0, 0.05, count)),
+                          np.sign(_z_batch(ts)))
+
+
+@pytest.mark.parametrize("t_max, count", [(98.84, 29), (98.831, 28)])
+def test_find_zeros_where_the_step_does_not_divide_the_range(t_max, count):
+    # the last scan point, 98.9, is clipped to t_max, off the grid, and the
+    # last cell is [98.83, t_max]: the zero at 98.8312 lies inside it for
+    # the first t_max and between t_max and 98.9 for the second, where Z at
+    # 98.9 has the other sign than at t_max
+    width = 1e-9
+    found = find_zeros(3.7, t_max, scan_step=0.07, bisect_width=width)
+    assert len(found) == count
+    for n, got in enumerate(found.events, 1):
+        assert abs(got - zetazero_mpmath(n)) <= width
 
 
 def test_batched_Z_rejects_negative():

@@ -222,6 +222,18 @@ def test_periodicity_multiple_z():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_checks_reject_a_tolerance_not_positive_and_finite(tol):
+    series = series_from_values([0, 0, 0, 1, 0, 0, 0, 1])
+    spectrum = dft(series)
+    with pytest.raises(ValueError, match="tol"):
+        periodicity_check(series, [1], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        conjugate_symmetry_check(spectrum, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        parseval_check(series, spectrum, tol=tol)
+
+
 def test_periodicity_rejects_bad_args():
     series = random_indicator(16, np.random.default_rng(1))
     with pytest.raises(ValueError):
