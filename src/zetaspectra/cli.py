@@ -34,8 +34,8 @@ from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
 PNT_CHECKPOINTS = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
-# the exact periodicity sum costs one lookup per bin, mark and shift (the
-# base bins count as one shift); bins beyond this budget are skipped
+# periodicity budget in bin-by-bin lookups (bins x marks x shifts, the base
+# bins one shift), past which bins are skipped; dense requests cost far less
 PERIODICITY_TERM_BUDGET = 2 ** 25
 
 

@@ -140,6 +140,19 @@ def test_periodicity_exact_on_prime_runs(args, restricted, tmp_path):
     assert lines == ([restricted] if restricted else [])
 
 
+def test_periodicity_exact_on_every_bin_of_the_zero_scenario(tmp_path):
+    # the benchmark's zeros-3000 run: 2205 marks on 3001 bins, all checked
+    out = tmp_path / "out"
+    cp = run_cli("run", "--t-max", "3000", "--out", str(out), "--emit", "none")
+    assert cp.returncode == 0, cp.stderr
+    assert "restricted" not in cp.stderr
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    errors = {c["name"]: c["max_error"] for c in checks
+              if c["name"].startswith("periodicity_z")}
+    assert errors == {"periodicity_z1": 0.0, "periodicity_z2": 0.0,
+                      "periodicity_z3": 0.0}
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli("run", "--source", "nonsense").returncode == 2
     assert run_cli("run", "--delta", "-1", "--out",

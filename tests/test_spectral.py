@@ -5,8 +5,8 @@ import pytest
 
 from zetaspectra import (GridSpec, Spectrum, amplitude_phase,
                          conjugate_symmetry_check, dft, dft_direct, idft,
-                         parseval_check, periodicity_check)
-from zetaspectra.spectral import direct_bins
+                         parseval_check, periodicity_check, spectral)
+from zetaspectra.spectral import _bin_block, direct_bins
 
 from conftest import random_indicator, series_from_values
 from oracles import dft_brute, idft_brute
@@ -72,6 +72,61 @@ def test_direct_bins_matches_fft_and_repeats_at_shifted_indices():
     for shifted in (l + 7 * n, l - 2 * n, (l + 10 ** 9 * n).astype(float)):
         assert np.array_equal(direct_bins(values, shifted),
                               direct_bins(values, l))
+
+
+def _requested(kind, n, rng):
+    if kind == "all":
+        return np.arange(n)
+    if kind == "unsorted-with-duplicates":
+        return rng.permutation(np.concatenate([np.arange(n),
+                                               rng.integers(0, n, 30)]))
+    if kind == "every-tenth":
+        return np.arange(0, n, 10)
+    return np.array([n // 3])  # a single bin
+
+
+# N = 101 is prime and N = 100 composite; neither is a multiple of the
+# block size 8 that both get, so the last block runs past N - 1.
+@pytest.mark.parametrize("n", [101, 100])
+@pytest.mark.parametrize("kind, blocked", [
+    ("all", True), ("unsorted-with-duplicates", True),
+    ("every-tenth", False), ("single", False)])
+def test_direct_bins_in_both_block_regimes(n, kind, blocked, monkeypatch):
+    rng = np.random.default_rng(n)
+    indices = _requested(kind, n, rng)
+    sizes = []
+
+    def spy(*args):
+        sizes.append(_bin_block(*args))
+        return sizes[-1]
+
+    monkeypatch.setattr(spectral, "_bin_block", spy)
+    weighted = rng.normal(scale=3.0, size=n) * (rng.random(n) < 0.4)
+    assert weighted.min() < 0.0 < weighted.max()
+    for values in (weighted, np.zeros(n)):
+        got = direct_bins(values, indices)
+        assert (sizes[-1] > 1) == blocked, sizes
+        assert n % sizes[-1] or not blocked
+        assert np.max(np.abs(got - np.fft.fft(values)[indices])) < 1e-9
+        brute = np.array(dft_brute(list(values)))
+        assert np.max(np.abs(got - brute[indices])) < 1e-9
+        for shifted in (indices + 7 * n, indices - 2 * n,
+                        (indices + 10 ** 9 * n).astype(float)):
+            assert np.array_equal(direct_bins(values, shifted), got)
+            assert (sizes[-1] > 1) == blocked, sizes
+
+
+@pytest.mark.parametrize("n, marks, count, blocked", [
+    (3001, 2205, 3001, True),  # run --t-max 3000
+    (9974, 1229, 6825, True),  # --source primes --limit 1e4
+    (99992, 9592, 874, False),  # --limit 1e5
+    (999984, 78498, 106, False),  # --limit 1e6
+])
+def test_block_size_at_the_cli_requests(n, marks, count, blocked):
+    bins = np.unique(np.linspace(0, n - 1, count).astype(int))
+    b = _bin_block(bins, n, marks)
+    assert (b > 1) == blocked
+    assert b & (b - 1) == 0 and b * marks <= 2 ** 20
 
 
 @pytest.mark.parametrize("indices", [[0.5], [1, 2.25], [np.nan], [2.0 ** 64]])
@@ -249,6 +304,15 @@ def test_periodicity_rejects_bad_args():
         periodicity_check(series, [1], bins=np.array([0.5]))
     with pytest.raises(ValueError):  # z * N beyond int64
         periodicity_check(series, [2 ** 62])
+
+
+def test_periodicity_without_shifts_sums_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "direct_bins",
+                        lambda *args: calls.append(args))
+    series = random_indicator(64, np.random.default_rng(42))
+    assert periodicity_check(series, []) == []
+    assert calls == []
 
 
 def test_periodicity_bin_subset():
