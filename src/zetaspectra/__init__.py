@@ -10,8 +10,7 @@ from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
 from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros,
-                        riemann_siegel_Z, sieve_primes, synthetic_train,
-                        zero_count_estimate)
+                        riemann_siegel_Z, sieve_primes, synthetic_train)
 from .spectral import (ParsevalReport, PeriodicityReport, Spectrum,
                        SymmetryReport, amplitude_phase,
                        conjugate_symmetry_check, dft, dft_direct, idft,
@@ -22,7 +21,7 @@ __all__ = [
     # numtheory
     "DomainError", "MissedZeroError", "ZeroTableError",
     "EventSequence", "sieve_primes", "synthetic_train", "riemann_siegel_Z",
-    "find_zeros", "load_zeros", "zero_count_estimate",
+    "find_zeros", "load_zeros",
     # grid
     "GridSpec", "MangoldtSeries", "build_series",
     # spectral

@@ -25,8 +25,9 @@ from .emit import (write_manifest, write_peaks_csv, write_pnt_csv,
                    write_ratios_csv, write_recon_csv, write_series_csv,
                    write_spectrum_csv, write_spiral_csv)
 from .grid import GridSpec, MangoldtSeries, build_series
-from .numtheory import (DomainError, EventSequence, ZeroTableError,
-                        find_zeros, load_zeros, sieve_primes, synthetic_train)
+from .numtheory import (DomainError, EventSequence, MissedZeroError,
+                        ZeroTableError, find_zeros, load_zeros, sieve_primes,
+                        synthetic_train)
 from . import spectral
 from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
                        periodicity_check)
@@ -404,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**vars(args))
     try:
         return run(config)
-    except (ConfigError, DomainError, ZeroTableError) as exc:
+    except (ConfigError, DomainError, MissedZeroError, ZeroTableError) as exc:
         _log(f"usage error: {exc}")
         return 2
 

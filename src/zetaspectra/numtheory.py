@@ -19,15 +19,19 @@ correction:
 The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
 series above; below the crossover a phase error enters Z only to second order.
 
-Zeros are found in two passes. The scan evaluates Z on its uniform grid
-(``_z_grid``). Below the crossover the main sum of n^(-1/2 - it) over a
-block of 64 rows is one complex exponential per term times one table of
-rotations exp(-i j step log n) shared by the whole grid, summed as one complex
-matrix product; the rows from the crossover on, and any point off the grid, go
+Zeros are found in two passes. The scan evaluates Z on one fixed lattice
+j * 0.05, anchored at 0 whatever the range (``_z_grid``). Below the
+crossover the main sum of n^(-1/2 - it) over a block of 64 rows is one
+complex exponential per term times one table of rotations
+exp(-i j step log n) shared by the whole grid, summed as one complex matrix
+product; the rows from the crossover on, and any point off the grid, go
 through ``_z_batch`` (the same routes and formulas as the scalar
 ``riemann_siegel_Z``, as masked matrices of real cosine terms). Each sign
-change is then refined by safeguarded Illinois regula falsi (``_refine``),
-about five scalar ``riemann_siegel_Z`` calls per zero.
+change is then refined by safeguarded Illinois regula falsi (``_refine``) to
+a bracket 1e-9 wide, about five scalar ``riemann_siegel_Z`` calls per zero.
+The zero count is checked against the smooth counting estimate; a close
+pair of zeros lost in one lattice cell shows only where the count then falls
+outside the estimate's band.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "riemann_siegel_Z",
     "find_zeros",
     "load_zeros",
-    "zero_count_estimate",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -60,7 +63,8 @@ class DomainError(ValueError):
 
 
 class MissedZeroError(RuntimeError):
-    """Scan found a zero count inconsistent with the counting estimate."""
+    """The zeros found in a range are too few or too many for the counting
+    estimate: the scan could not separate a close pair of zeros there."""
 
 
 class ZeroTableError(ValueError):
@@ -403,7 +407,7 @@ def _z_grid(t0: float, step: float, count: int) -> np.ndarray:
 # Zero location
 # ---------------------------------------------------------------------------
 
-def zero_count_estimate(t_max: float) -> int:
+def _zero_count_estimate(t_max: float) -> int:
     """Smooth zero-count estimate, rounded half-up.
 
     round((T/2pi) log(T/2pi) - T/2pi + 7/8). The neglected fluctuation term
@@ -461,65 +465,52 @@ def _refine(f, a: float, b: float, fa: float, fb: float,
     return a, b
 
 
-def find_zeros(
-    t_min: float,
-    t_max: float,
-    scan_step: float = 0.05,
-    bisect_width: float = 1e-9,
-    count_check: bool = True,
-) -> EventSequence:
+# The scan lattice j * _SCAN_STEP, anchored at 0, and the width of each
+# zero's final bracket.
+_SCAN_STEP = 0.05
+_ZERO_WIDTH = 1e-9
+
+
+def find_zeros(t_min: float, t_max: float) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
-    Z is evaluated on the uniform scan grid t_min + j * scan_step by
-    _z_grid; the last point, clipped to t_max, by _z_batch. Each bracket is
-    then refined by safeguarded Illinois regula falsi, with scalar
-    riemann_siegel_Z calls, until the bracket holding the sign change is at
-    most bisect_width wide (the name predates the Illinois steps: it is the
-    width of the final bracket); the zero is its midpoint. With count_check the
-    result size is compared against zero_count_estimate; a discrepancy beyond
-    the estimate's intrinsic jitter raises MissedZeroError (the scan step
-    straddled a close pair of zeros). The estimate is good to +-1 per
-    endpoint, so the allowed band is 1 for scans anchored at 0 and 2
-    otherwise.
+    Z is evaluated by _z_grid on the lattice j * _SCAN_STEP from the last
+    lattice point at or below t_min, so a range's brackets do not depend on
+    where it starts; the last point, clipped to t_max, by _z_batch. Each
+    bracket is refined by safeguarded Illinois regula falsi, with scalar
+    riemann_siegel_Z calls, to a sign-change bracket at most _ZERO_WIDTH
+    wide; the zero is its midpoint. A lattice point where Z is exactly 0 is
+    a zero too; it ends no sign-change bracket, so no refined zero repeats
+    it. The smooth counting estimate is good to +-1 per endpoint: a count
+    off by more than 1 from it (2 for a range that does not start at 0)
+    raises MissedZeroError.
     """
     if not 0.0 <= t_min < t_max < math.inf:
         raise DomainError(
             f"need 0 <= t_min < t_max < inf, got ({t_min}, {t_max})")
-    if scan_step <= 0.0:
-        raise DomainError(f"scan_step must be positive, got {scan_step}")
-    if bisect_width <= 0.0:
-        raise DomainError(f"bisect_width must be positive, got {bisect_width}")
 
-    n_steps = int(math.ceil((t_max - t_min) / scan_step))
-    ts = t_min + scan_step * np.arange(n_steps + 1)
-    vals = _z_grid(t_min, scan_step, ts.size)
+    t0 = (t_min // _SCAN_STEP) * _SCAN_STEP
+    count = int(math.ceil((t_max - t0) / _SCAN_STEP)) + 1
+    ts = t0 + _SCAN_STEP * np.arange(count)
+    vals = _z_grid(t0, _SCAN_STEP, count)
     # the last point is clipped to t_max, which takes it off the grid
     off = ts > t_max
     ts[off] = t_max
     vals[off] = _z_batch(ts[off])
 
-    zeros = []
+    zeros = ts[vals == 0.0].tolist()
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         a, b = _refine(riemann_siegel_Z, float(ts[i]), float(ts[i + 1]),
-                       float(vals[i]), float(vals[i + 1]), bisect_width)
-        root = 0.5 * (a + b)
-        if t_min < root <= t_max:
-            zeros.append(root)
-    # grid points landing exactly on a zero
-    for i in np.nonzero(vals == 0.0)[0]:
-        root = float(ts[i])
-        if t_min < root <= t_max and not any(abs(root - z) < bisect_width for z in zeros):
-            zeros.append(root)
-    zeros.sort()
+                       float(vals[i]), float(vals[i + 1]), _ZERO_WIDTH)
+        zeros.append(0.5 * (a + b))
+    zeros = sorted(z for z in zeros if t_min < z <= t_max)
 
-    if count_check:
-        expected = zero_count_estimate(t_max) - zero_count_estimate(t_min)
-        band = 1 if t_min == 0.0 else 2
-        if abs(len(zeros) - expected) > band:
-            raise MissedZeroError(
-                f"found {len(zeros)} zeros in ({t_min}, {t_max}] but the "
-                f"counting estimate gives {expected}; the scan step "
-                f"{scan_step} is too coarse to separate adjacent zeros")
+    expected = _zero_count_estimate(t_max) - _zero_count_estimate(t_min)
+    if abs(len(zeros) - expected) > (1 if t_min == 0.0 else 2):
+        raise MissedZeroError(
+            f"found {len(zeros)} zeros in ({t_min}, {t_max}] but the "
+            f"counting estimate gives {expected}; the scan cannot separate "
+            f"a close pair of zeros at this height")
     return EventSequence(np.array(zeros))
 
 

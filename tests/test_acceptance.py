@@ -16,7 +16,8 @@ import pytest
 from zetaspectra import (build_series, detect_peaks, dft, dft_direct,
                          fermat_spiral, find_zeros, frequency_ratio_series,
                          parseval_check, periodicity_check, pnt_ratio,
-                         reconstruct, riemann_siegel_Z, zero_count_estimate)
+                         reconstruct, riemann_siegel_Z)
+from zetaspectra.numtheory import _zero_count_estimate
 
 from conftest import ZEROS_BELOW_100, random_indicator, series_from_values
 
@@ -38,7 +39,7 @@ def test_criterion_01_zero_finder():
         got = len(find_zeros(0.0, t_max))
         # the smooth counting estimate carries a +-1 fluctuation band
         counts_ok &= got == true_count
-        counts_ok &= abs(got - zero_count_estimate(t_max)) <= 1
+        counts_ok &= abs(got - _zero_count_estimate(t_max)) <= 1
     elapsed = time.monotonic() - start
     verdict("1 zero finder", len(found) == 29 and worst < 1e-6 and counts_ok
             and elapsed < 10.0,

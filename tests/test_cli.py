@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from zetaspectra.cli import ConfigError, RunConfig, run, selftest
+from zetaspectra import cli
+from zetaspectra.cli import ConfigError, RunConfig, main, run, selftest
+from zetaspectra.numtheory import MissedZeroError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -191,6 +193,21 @@ def test_bad_input_exits_2_before_any_output(args, tmp_path):
     assert cp.returncode == 2
     assert len(cp.stderr.splitlines()) == 1, cp.stderr
     assert cp.stderr.startswith("usage error: ")
+    assert not out.exists()
+
+
+def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    # a height where the scan cannot separate a close pair (a run to
+    # t = 30000 meets one near 24000, too slow to run here)
+    def missed(t_min, t_max):
+        raise MissedZeroError(f"found no zeros in ({t_min}, {t_max}]")
+
+    monkeypatch.setattr(cli, "find_zeros", missed)
+    out = tmp_path / "out"
+    assert main(["run", "--t-max", "30000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("usage error: ")
     assert not out.exists()
 
 

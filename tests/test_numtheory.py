@@ -7,11 +7,12 @@ import pytest
 from zetaspectra import numtheory
 from zetaspectra import (DomainError, MissedZeroError, ZeroTableError,
                          find_zeros, load_zeros, riemann_siegel_Z,
-                         sieve_primes, synthetic_train, zero_count_estimate)
+                         sieve_primes, synthetic_train)
 
 from zetaspectra.numtheory import (_GRID_BLOCK, RS_CROSSOVER, _Z_BLOCK_TERMS,
-                                   _em_cutoff, _refine, _rs_terms,
-                                   _theta_exact, _z_batch, _z_grid)
+                                   _ZERO_WIDTH, _em_cutoff, _refine, _rs_terms,
+                                   _theta_exact, _z_batch, _z_grid,
+                                   _zero_count_estimate)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
@@ -231,15 +232,15 @@ def test_grid_Z_signs_match_batch_on_the_scan_grid():
 
 @pytest.mark.parametrize("t_max, count", [(98.84, 29), (98.831, 28)])
 def test_find_zeros_where_the_step_does_not_divide_the_range(t_max, count):
-    # the last scan point, 98.9, is clipped to t_max, off the grid, and the
-    # last cell is [98.83, t_max]: the zero at 98.8312 lies inside it for
-    # the first t_max and between t_max and 98.9 for the second, where Z at
-    # 98.9 has the other sign than at t_max
-    width = 1e-9
-    found = find_zeros(3.7, t_max, scan_step=0.07, bisect_width=width)
+    # the last lattice point, 98.85, is clipped to t_max, and the last cell
+    # is [98.8, t_max]: the zero at 98.8312 lies inside it for the first
+    # t_max and between t_max and 98.85 for the second, where Z at 98.85
+    # has the other sign than at t_max
+    assert np.sign(Z_mpmath(98.85)) != np.sign(Z_mpmath(98.831))
+    found = find_zeros(3.7, t_max)
     assert len(found) == count
     for n, got in enumerate(found.events, 1):
-        assert abs(got - zetazero_mpmath(n)) <= width
+        assert abs(got - zetazero_mpmath(n)) <= _ZERO_WIDTH
 
 
 def test_batched_Z_rejects_negative():
@@ -274,13 +275,13 @@ def test_find_zeros_counts(t_max):
     found = find_zeros(0.0, float(t_max))
     assert len(found) == TRUE_COUNTS[t_max]
     # the smooth estimate is only good to +-1
-    assert abs(len(found) - zero_count_estimate(t_max)) <= 1
+    assert abs(len(found) - _zero_count_estimate(t_max)) <= 1
 
 
 def test_zero_count_estimate_frozen():
     for t_max, smooth in SMOOTH_COUNTS.items():
-        assert zero_count_estimate(t_max) == smooth
-    assert zero_count_estimate(0.0) == 0
+        assert _zero_count_estimate(t_max) == smooth
+    assert _zero_count_estimate(0.0) == 0
 
 
 def test_found_zeros_are_bracketed_by_Z():
@@ -296,13 +297,13 @@ def test_found_zeros_have_small_residual():
 
 
 def test_found_zeros_within_final_width_of_multiprecision_zeros():
-    # the zero is the midpoint of a sign-change bracket at most 1e-9 wide;
-    # the worst of the 29 measured 2.5e-10 (3.7e-10 with plain bisection)
-    width = 1e-9
-    found = find_zeros(0.0, 100.0, bisect_width=width)
+    # the zero is the midpoint of a sign-change bracket at most _ZERO_WIDTH
+    # (1e-9) wide; the worst of the 29 measured 2.5e-10 (3.7e-10 with plain
+    # bisection)
+    found = find_zeros(0.0, 100.0)
     assert len(found) == 29
     for n, got in enumerate(found.events, 1):
-        assert abs(got - zetazero_mpmath(n)) <= width
+        assert abs(got - zetazero_mpmath(n)) <= _ZERO_WIDTH
 
 
 def test_refinement_calls_scalar_Z_a_few_times_per_zero(monkeypatch):
@@ -364,10 +365,9 @@ def test_refine_ends_when_no_float_is_left_inside():
     assert f(a) < 0.0 < f(b)
 
 
-@pytest.mark.xfail(strict=True, reason="the Lehmer pair at 7005.0629 and "
-                   "7005.1006 sits inside one 0.05 scan cell; the count band "
-                   "does not notice the two missing zeros")
 def test_lehmer_pair_is_found():
+    # the pair at 7005.0629 and 7005.1006 falls in two lattice cells; a
+    # lattice anchored at t_min = 7000.055 put both in one
     expected = nzeros_mpmath(7010.0) - nzeros_mpmath(7000.055)
     assert expected == 11
     assert len(find_zeros(7000.055, 7010.0)) == expected
@@ -386,9 +386,22 @@ def test_count_band_tolerates_estimate_jitter():
     assert len(find_zeros(14.3, 30.0)) == 2
 
 
-def test_coarse_scan_raises_missed_zero():
-    with pytest.raises(MissedZeroError):
-        find_zeros(0.0, 50.0, scan_step=10.0)
+@pytest.mark.parametrize("a", [3.7, 14.13, 50.01, 77.77, 150.0])
+def test_zeros_do_not_depend_on_where_the_range_starts(a):
+    # the lattice is anchored at 0, so (a, 200] is scanned in the cells of
+    # (0, 200] above a (their ends equal to rounding) and holds the same
+    # zeros; the refined zeros measured at most 5.0e-10 apart
+    whole = find_zeros(0.0, 200.0).events
+    part = find_zeros(a, 200.0).events
+    above = whole[whole > a]
+    assert len(part) == len(above)
+    assert np.max(np.abs(part - above)) <= _ZERO_WIDTH
+
+
+def test_coarse_scan_raises_missed_zero(monkeypatch):
+    monkeypatch.setattr(numtheory, "_SCAN_STEP", 10.0)
+    with pytest.raises(MissedZeroError, match="close pair"):
+        find_zeros(0.0, 50.0)
 
 
 def test_find_zeros_domain_errors():
@@ -399,10 +412,6 @@ def test_find_zeros_domain_errors():
     for t_max in (math.nan, math.inf):
         with pytest.raises(DomainError):
             find_zeros(0.0, t_max)
-    with pytest.raises(DomainError):
-        find_zeros(0.0, 30.0, scan_step=0.0)
-    with pytest.raises(DomainError):
-        find_zeros(14.0, 14.2, bisect_width=0.0, count_check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,20 @@ def test_direct_bins_in_both_block_regimes(n, kind, blocked, monkeypatch):
             assert (sizes[-1] > 1) == blocked, sizes
 
 
+# The CLI's periodicity check asks for its bins and their shifts by 1, 2 and
+# 3 N in one request; every shift reduces onto the base bins, so four indices
+# share each block and the sparse requests at 1e5 and 1e6 are blocked too
+# (B = 64 and 8).
 @pytest.mark.parametrize("n, marks, count, blocked", [
     (3001, 2205, 3001, True),  # run --t-max 3000
     (9974, 1229, 6825, True),  # --source primes --limit 1e4
-    (99992, 9592, 874, False),  # --limit 1e5
-    (999984, 78498, 106, False),  # --limit 1e6
+    (99992, 9592, 874, True),  # --limit 1e5
+    (999984, 78498, 106, True),  # --limit 1e6
 ])
 def test_block_size_at_the_cli_requests(n, marks, count, blocked):
     bins = np.unique(np.linspace(0, n - 1, count).astype(int))
-    b = _bin_block(bins, n, marks)
+    request = np.concatenate([bins + z * n for z in range(4)])
+    b = _bin_block(request % n, n, marks)
     assert (b > 1) == blocked
     assert b & (b - 1) == 0 and b * marks <= 2 ** 20
 
@@ -313,6 +318,22 @@ def test_periodicity_without_shifts_sums_nothing(monkeypatch):
     series = random_indicator(64, np.random.default_rng(42))
     assert periodicity_check(series, []) == []
     assert calls == []
+
+
+def test_periodicity_sums_base_and_shifts_in_one_call(monkeypatch):
+    calls = []
+    exact = spectral.direct_bins
+
+    def spy(values, indices):
+        calls.append(np.array(indices))
+        return exact(values, indices)
+
+    monkeypatch.setattr(spectral, "direct_bins", spy)
+    series = random_indicator(64, np.random.default_rng(43))
+    reports = periodicity_check(series, [1, 2, 3])
+    assert [r.max_abs_diff for r in reports] == [0.0, 0.0, 0.0]
+    (indices,) = calls
+    assert np.array_equal(indices, np.arange(4 * 64))
 
 
 def test_periodicity_bin_subset():
