@@ -21,14 +21,15 @@ series above; below the crossover a phase error enters Z only to second order.
 
 Zeros are found in two passes. The scan evaluates Z on one fixed lattice
 j * 0.05, anchored at 0 whatever the range (``_z_grid``). Below the
-crossover the main sum of n^(-1/2 - it) over a block of 64 rows is one
-complex exponential per term times one table of rotations
-exp(-i j step log n) shared by the whole grid, summed as one complex matrix
-product; the rows from the crossover on, and any point off the grid, go
-through ``_z_batch`` (the same routes and formulas as the scalar
-``riemann_siegel_Z``, as masked matrices of real cosine terms). Each sign
-change is then refined by safeguarded Illinois regula falsi (``_refine``) to
-a bracket 1e-9 wide, about five scalar ``riemann_siegel_Z`` calls per zero.
+crossover the main sum of n^(-1/2 - it) over a block of 64 rows, which
+starts at a lattice multiple of 64, is one complex exponential per term
+times one table of rotations exp(-i j step log n) shared by the whole grid,
+summed as one complex matrix product; the rows from the crossover on, and
+any point off the grid, go through ``_z_batch`` (the same routes and
+formulas as the scalar ``riemann_siegel_Z``, as masked matrices of real
+cosine terms). Each sign change is then refined by safeguarded Illinois
+regula falsi (``_refine``) to a bracket 1e-9 wide, about five scalar
+``riemann_siegel_Z`` calls per zero.
 The zero count is checked against the smooth counting estimate; a close
 pair of zeros lost in one lattice cell shows only where the count then falls
 outside the estimate's band.
@@ -364,31 +365,37 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
 _GRID_BLOCK = 64
 
 
-def _z_grid(t0: float, step: float, count: int) -> np.ndarray:
-    """Z on the uniform grid t0 + step * arange(count), t0 >= 0, step > 0.
+def _z_grid(j0: int, count: int) -> np.ndarray:
+    """Z on the lattice points j * _SCAN_STEP, j0 <= j < j0 + count.
 
     Below RS_CROSSOVER the Euler-Maclaurin main sum S = sum n^(-1/2 - it)
-    is taken in blocks of _GRID_BLOCK rows: term n of row j in the block
-    starting at t_b is n^-1/2 exp(-i t_b log n) times exp(-i j step log n).
-    The second factor comes from one table for the whole grid, so a block
-    costs one complex exponential per term and its sums are one complex
-    matrix product. Every row of a block sums to the block's largest cutoff
-    M_b, which only makes the tail's truncation smaller; then
+    is taken in blocks of _GRID_BLOCK rows that start at lattice multiples
+    of _GRID_BLOCK, whatever j0: term n of row j in the block starting at
+    t_b is n^-1/2 exp(-i t_b log n) times exp(-i j _SCAN_STEP log n). The
+    second factor comes from one table for the whole grid, so a block costs
+    one complex exponential per term and its sums are one complex matrix
+    product. Every row of a block sums to the block's largest cutoff M_b,
+    which only makes the tail's truncation smaller; then
     Z = Re(exp(i theta) (S + tail)). The rows from RS_CROSSOVER on go to
-    _z_batch.
+    _z_batch. At the scan step all blocks are one product, so a point's
+    value does not depend on j0.
     """
-    ts = t0 + step * np.arange(count)
+    # from the block before j0's: numpy sums a lone block by gemv, which
+    # rounds otherwise than the gemm of several
+    lead = min(j0, j0 % _GRID_BLOCK + _GRID_BLOCK)
+    ts = _SCAN_STEP * np.arange(j0 - lead, j0 + count)
     em = int(np.searchsorted(ts, RS_CROSSOVER))
-    z = np.empty(count)
+    z = np.empty(ts.size)
     z[em:] = _z_batch(ts[em:])
-    if em == 0:
-        return z
+    if em <= lead:
+        return z[lead:]
     t = ts[:em]
     # each block's cutoff, at its last row
     m = _em_cutoff(t[np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK,
                                           _GRID_BLOCK), em) - 1])
     logs, rsqrt = _n_terms(int(m[-1]))
-    rotation = np.exp(-1j * (step * np.arange(_GRID_BLOCK)[:, None]) * logs)
+    rotation = np.exp(-1j * (_SCAN_STEP * np.arange(_GRID_BLOCK)[:, None])
+                      * logs)
 
     def sums(start, m):
         width = int(m.max())
@@ -400,7 +407,7 @@ def _z_grid(t0: float, step: float, count: int) -> np.ndarray:
     s = _blockwise(sums, t[::_GRID_BLOCK], m).ravel()[:em]
     tail = _em_tail(0.5 + 1j * t, np.repeat(m, _GRID_BLOCK)[:em])
     z[:em] = (np.exp(1j * _theta(t)) * (s + tail)).real
-    return z
+    return z[lead:]
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +496,10 @@ def find_zeros(t_min: float, t_max: float) -> EventSequence:
         raise DomainError(
             f"need 0 <= t_min < t_max < inf, got ({t_min}, {t_max})")
 
-    t0 = (t_min // _SCAN_STEP) * _SCAN_STEP
-    count = int(math.ceil((t_max - t0) / _SCAN_STEP)) + 1
-    ts = t0 + _SCAN_STEP * np.arange(count)
-    vals = _z_grid(t0, _SCAN_STEP, count)
+    j0 = int(t_min // _SCAN_STEP)
+    count = int(math.ceil((t_max - j0 * _SCAN_STEP) / _SCAN_STEP)) + 1
+    ts = _SCAN_STEP * np.arange(j0, j0 + count)
+    vals = _z_grid(j0, count)
     # the last point is clipped to t_max, which takes it off the grid
     off = ts > t_max
     ts[off] = t_max

@@ -188,7 +188,7 @@ def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """
     re, im = spectrum.bins.real, spectrum.bins.imag
     amplitude = np.hypot(re, im)
-    phase = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    phase = np.frompyfunc(math.atan2, 2, 1)(im, re).astype(float)
     phase[phase == -math.pi] = math.pi
     phase[amplitude == 0.0] = 0.0
     return amplitude, phase

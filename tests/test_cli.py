@@ -2,11 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from zetaspectra import cli
+from zetaspectra import analysis, cli, spectral
 from zetaspectra.cli import ConfigError, RunConfig, main, run, selftest
 from zetaspectra.numtheory import MissedZeroError
 
@@ -224,6 +225,28 @@ def test_run_config_validation_direct():
         RunConfig(tol=0.0).validate()
 
 
+def test_reconstruct_runs_before_the_csv_writers(tmp_path, monkeypatch):
+    # the inverse FFT's temporaries set the run's peak memory; taken before
+    # the writers fragment the heap, that peak does not move with the heap
+    calls = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    writers = [name for name in dir(cli)
+               if name.startswith("write_") and name.endswith("_csv")]
+    for name in ["reconstruct", *writers]:
+        monkeypatch.setattr(cli, name, spy(name))
+    assert run(RunConfig(out_dir=str(tmp_path / "out"))) == 0
+    assert calls[0] == "reconstruct"
+    assert sorted(calls[1:]) == writers
+
+
 def test_failed_check_exits_1(tmp_path):
     # force a check to fail by tightening the tolerance below roundoff
     config = RunConfig(source="synthetic", gap=10.0, length=100,
@@ -249,12 +272,43 @@ def test_selftest_runs_twice_identically():
     assert first.returncode == second.returncode == 0
 
 
-@pytest.mark.parametrize("suite", ["round_trip", "periodicity", "symmetry",
-                                   "parseval", "spiral"])
-def test_selftest_detects_injected_fault(suite, capsys):
-    assert selftest(corrupt=suite) == 1
+def _bumped(spectrum, k):
+    """The spectrum with bin k moved by 1e-3."""
+    bins = spectrum.bins.copy()
+    bins[k] += 1e-3
+    return replace(spectrum, bins=bins)
+
+
+def _spiral_off_its_circle(spectrum):
+    x, y = analysis.fermat_spiral(spectrum)
+    x[5] += 1e-3
+    return x, y
+
+
+EXACT_DIRECT_BINS = spectral.direct_bins
+# each fault is injected into what the suite's detector reads, so the
+# detector itself must report it
+FAULTS = {
+    "round_trip": (cli, "idft", lambda s: spectral.idft(_bumped(s, 3))),
+    # each shifted sum taken at l + zN + 1, a shift that is not a multiple of N
+    "periodicity": (spectral, "direct_bins",
+                    lambda values, indices: EXACT_DIRECT_BINS(
+                        values, indices + (indices >= len(values)))),
+    "symmetry": (cli, "conjugate_symmetry_check",
+                 lambda s: spectral.conjugate_symmetry_check(_bumped(s, 2))),
+    "parseval": (cli, "parseval_check",
+                 lambda series, s: spectral.parseval_check(series,
+                                                           _bumped(s, 4))),
+    "spiral": (cli, "fermat_spiral", _spiral_off_its_circle),
+}
+
+
+@pytest.mark.parametrize("suite", list(FAULTS))
+def test_selftest_detects_injected_fault(suite, monkeypatch, capsys):
+    monkeypatch.setattr(*FAULTS[suite])
+    assert selftest() == 1
     out = capsys.readouterr().out
-    assert f"selftest FAILED: {suite}" in out
+    assert f"selftest FAILED: {suite}\n" in out
 
 
 def test_cli_import_leaves_scipy_out():

@@ -165,30 +165,36 @@ def test_batched_Z_matches_scalar():
     assert np.max(np.abs(_z_batch(ts[perm]) - batch[perm])) < 1e-12
 
 
-def _grid_rows(t0, step, count):
-    """The grid t0 + step * arange(count), its number of rows below the
-    crossover, each block's cutoff (at its last row), and the rows to check:
+def _grid_rows(j0, count):
+    """The lattice j * _SCAN_STEP for 0 <= j < j0 + count, the index of its
+    first point at or above the crossover, each lattice block's cutoff (at
+    its last row below the crossover), and the rows from j0 on to check:
     the first and last rows of the first blocks, of a middle block, of the
     blocks on both sides of the first product boundary and of the last block
     below the crossover; rows below t = 10; the rows on both sides of the
     crossover."""
-    ts = t0 + step * np.arange(count)
+    ts = numtheory._SCAN_STEP * np.arange(j0 + count)
     em = int(np.sum(ts < RS_CROSSOVER))
     ends = np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK, _GRID_BLOCK),
                       em)
     m = _em_cutoff(ts[ends - 1])
     per_product = _Z_BLOCK_TERMS // int(m[-1])
-    picked = {0, 1, 2, m.size // 2, per_product - 1, per_product, m.size - 1}
+    first = j0 // _GRID_BLOCK
+    # the first product starts a block before j0's (see _z_grid)
+    boundary = max(0, first - 1) + per_product
+    picked = {first, first + 1, first + 2, (first + m.size) // 2,
+              boundary - 1, boundary, m.size - 1}
     rows = {r for b in picked if b < m.size
             for r in (b * _GRID_BLOCK, ends[b] - 1)}
     rows |= set(np.flatnonzero(ts < 10.0)[::40].tolist())
     rows |= {em - 1, em}
-    return ts, em, m, sorted(rows)
+    return ts, em, m, sorted(r for r in rows if r >= j0)
 
 
-@pytest.mark.parametrize("t0, step, t_max", [(0.0, 0.01, 1100.0),
-                                             (3.7, 0.0073, 1100.0)])
-def test_grid_Z_within_error_model_of_multiprecision(t0, step, t_max):
+@pytest.mark.parametrize("t_min, step, t_max", [(0.0, 0.01, 1100.0),
+                                                (3.7, 0.0073, 1100.0)])
+def test_grid_Z_within_error_model_of_multiprecision(t_min, step, t_max,
+                                                     monkeypatch):
     # Row j of the block that starts at row t_b sums the terms n^-1/2
     # exp(-i t_b log n) exp(-i j step log n) to the block's cutoff M; the
     # phases round as in test_Z_within_error_model_of_multiprecision, to
@@ -200,13 +206,15 @@ def test_grid_Z_within_error_model_of_multiprecision(t0, step, t_max):
     # float t: the sum S moves by at most |t_b + j step - t| |S'| between
     # them, and |S'| <= sum_{n <= M} log n / sqrt n. From the crossover on
     # the rows are _z_batch's, within that test's 1e-10.
-    count = 1 + math.ceil((t_max - t0) / step)
-    ts, em, m, rows = _grid_rows(t0, step, count)
+    monkeypatch.setattr(numtheory, "_SCAN_STEP", step)
+    j0 = int(t_min // step)
+    count = 1 + math.ceil((t_max - j0 * step) / step)
+    ts, em, m, rows = _grid_rows(j0, count)
     assert m.size * int(m[-1]) > _Z_BLOCK_TERMS  # more than one product
-    z = _z_grid(t0, step, count)
+    z = _z_grid(j0, count)
     u = 2.0 ** -53
     for i in rows:
-        err = abs(z[i] - Z_mpmath(float(ts[i])))
+        err = abs(z[i - j0] - Z_mpmath(float(ts[i])))
         if i >= em:
             assert err < 1e-10, ts[i]
             continue
@@ -220,14 +228,24 @@ def test_grid_Z_within_error_model_of_multiprecision(t0, step, t_max):
                  + 5 * u * np.sum(1.0 / np.sqrt(n))
                  + float(offset) * np.sum(np.log(n) / np.sqrt(n)))
         assert err <= bound, (ts[i], err, bound)
+    # the blocks lie on the lattice: from an unaligned start the points equal
+    # those of the call from the start of their block, bit for bit
+    base = j0 - j0 % _GRID_BLOCK
+    aligned = _z_grid(base, j0 + count - base)
+    assert np.array_equal(z, aligned[j0 - base:])
+    assert np.array_equal(_z_grid(base + 37, j0 + count - base - 37),
+                          aligned[37:])
 
 
 def test_grid_Z_signs_match_batch_on_the_scan_grid():
     # find_zeros' grid on [0, 3000]: the brackets it refines are the same
     count = 60001
     ts = 0.05 * np.arange(count)
-    assert np.array_equal(np.sign(_z_grid(0.0, 0.05, count)),
-                          np.sign(_z_batch(ts)))
+    z = _z_grid(0, count)
+    assert np.array_equal(np.sign(z), np.sign(_z_batch(ts)))
+    # a start in the last block below the crossover, where that block alone
+    # would be a one-row product, gives the same points bit for bit
+    assert np.array_equal(_z_grid(19979, count - 19979), z[19979:])
 
 
 @pytest.mark.parametrize("t_max, count", [(98.84, 29), (98.831, 28)])
@@ -386,16 +404,14 @@ def test_count_band_tolerates_estimate_jitter():
     assert len(find_zeros(14.3, 30.0)) == 2
 
 
-@pytest.mark.parametrize("a", [3.7, 14.13, 50.01, 77.77, 150.0])
+@pytest.mark.parametrize("a", [3.7, 14.13, 50.01, 77.77, 150.0, 1500.3,
+                               2500.1])
 def test_zeros_do_not_depend_on_where_the_range_starts(a):
-    # the lattice is anchored at 0, so (a, 200] is scanned in the cells of
-    # (0, 200] above a (their ends equal to rounding) and holds the same
-    # zeros; the refined zeros measured at most 5.0e-10 apart
-    whole = find_zeros(0.0, 200.0).events
-    part = find_zeros(a, 200.0).events
-    above = whole[whole > a]
-    assert len(part) == len(above)
-    assert np.max(np.abs(part - above)) <= _ZERO_WIDTH
+    # the lattice and its blocks are anchored at 0, so (a, t_max] is scanned
+    # with the values of (0, t_max] above a and holds the same zeros
+    t_max = 3000.0 if a > RS_CROSSOVER else 200.0
+    whole = find_zeros(0.0, t_max).events
+    assert np.array_equal(find_zeros(a, t_max).events, whole[whole > a])
 
 
 def test_coarse_scan_raises_missed_zero(monkeypatch):
