@@ -20,19 +20,20 @@ The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
 series above; below the crossover a phase error enters Z only to second order.
 
 Zeros are found in two passes. The scan evaluates Z on one fixed lattice
-j * 0.05, anchored at 0 whatever the range (``_z_grid``). Below the
-crossover the main sum of n^(-1/2 - it) over a block of 64 rows, which
-starts at a lattice multiple of 64, is one complex exponential per term
-times one table of rotations exp(-i j step log n) shared by the whole grid,
-summed as one complex matrix product; the rows from the crossover on, and
-any point off the grid, go through ``_z_batch`` (the same routes and
-formulas as the scalar ``riemann_siegel_Z``, as masked matrices of real
-cosine terms). Each sign change is then refined by safeguarded Illinois
-regula falsi (``_refine``) to a bracket 1e-9 wide, about five scalar
-``riemann_siegel_Z`` calls per zero.
-The zero count is checked against the smooth counting estimate; a close
-pair of zeros lost in one lattice cell shows only where the count then falls
-outside the estimate's band.
+j * 0.05, anchored at 0, from the last point at or below t_min to the first
+at or above t_max (``_z_grid``), in fixed groups of 1024 points computed
+whole, so each scan value depends on its lattice index alone. Below the
+crossover the main sum of n^(-1/2 - it) over a block of 64 rows is one
+complex exponential per term times one table of rotations
+exp(-i j step log n), and a group's 16 blocks are one complex matrix
+product; a group's rows from the crossover on go through ``_z_batch``
+together (the same routes and formulas as the scalar ``riemann_siegel_Z``,
+as masked matrices of real cosine terms). Each sign change is then refined
+by safeguarded Illinois regula falsi (``_refine``) to a bracket 1e-9 wide,
+about five scalar ``riemann_siegel_Z`` calls per zero. The zero count is
+checked against the smooth counting estimate; a close pair of zeros lost in
+one lattice cell shows only where the count then falls outside the
+estimate's band.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ def riemann_siegel_Z(t: float) -> float:
     return float(_em_z(t, theta, int(_em_cutoff(t))))
 
 
-# Most terms one block of _z_batch (real, 8 MiB) or one product of _z_grid
-# (complex, 16 MiB) holds, so the working set stays a few blocks wide
-# whatever the grid's size.
+# Most terms one block of _z_batch (real, 8 MiB) holds, so the working set
+# stays a few blocks wide whatever the batch's size; a product of _z_grid
+# holds at most 16 x 800 complex terms.
 _Z_BLOCK_TERMS = 2 ** 20
 
 
@@ -360,54 +361,54 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     return z
 
 
-# Rows per block of _z_grid; one table of this many rotations serves the
-# whole grid.
+# Rows per block of _z_grid, each block one row of a group's matrix product,
+# and blocks per group; one table of _GRID_BLOCK rotations serves every group.
 _GRID_BLOCK = 64
+_GRID_GROUP = 16
 
 
 def _z_grid(j0: int, count: int) -> np.ndarray:
     """Z on the lattice points j * _SCAN_STEP, j0 <= j < j0 + count.
 
-    Below RS_CROSSOVER the Euler-Maclaurin main sum S = sum n^(-1/2 - it)
-    is taken in blocks of _GRID_BLOCK rows that start at lattice multiples
-    of _GRID_BLOCK, whatever j0: term n of row j in the block starting at
-    t_b is n^-1/2 exp(-i t_b log n) times exp(-i j _SCAN_STEP log n). The
-    second factor comes from one table for the whole grid, so a block costs
-    one complex exponential per term and its sums are one complex matrix
+    The points are computed in whole groups of _GRID_GROUP blocks of
+    _GRID_BLOCK rows, which start at lattice multiples of the group size
+    whatever j0 and count, and then sliced out, so each point's value
+    depends on j alone. Below RS_CROSSOVER the Euler-Maclaurin main sum
+    S = sum n^(-1/2 - it) of row j in the block starting at t_b is
+    n^-1/2 exp(-i t_b log n) times exp(-i j _SCAN_STEP log n). The second
+    factor comes from one table for the whole call, so a block costs one
+    complex exponential per term and a group's sums are one complex matrix
     product. Every row of a block sums to the block's largest cutoff M_b,
     which only makes the tail's truncation smaller; then
-    Z = Re(exp(i theta) (S + tail)). The rows from RS_CROSSOVER on go to
-    _z_batch. At the scan step all blocks are one product, so a point's
-    value does not depend on j0.
+    Z = Re(exp(i theta) (S + tail)). A group's rows from RS_CROSSOVER on go
+    to _z_batch together.
     """
-    # from the block before j0's: numpy sums a lone block by gemv, which
-    # rounds otherwise than the gemm of several
-    lead = min(j0, j0 % _GRID_BLOCK + _GRID_BLOCK)
-    ts = _SCAN_STEP * np.arange(j0 - lead, j0 + count)
+    rows = _GRID_GROUP * _GRID_BLOCK
+    first = j0 - j0 % rows
+    ts = _SCAN_STEP * np.arange(first, -(-(j0 + count) // rows) * rows)
     em = int(np.searchsorted(ts, RS_CROSSOVER))
     z = np.empty(ts.size)
-    z[em:] = _z_batch(ts[em:])
-    if em <= lead:
-        return z[lead:]
+    for g in range(em - em % rows, ts.size, rows):
+        z[max(g, em):g + rows] = _z_batch(ts[max(g, em):g + rows])
     t = ts[:em]
-    # each block's cutoff, at its last row
+    # each block's cutoff, at its last row below the crossover
     m = _em_cutoff(t[np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK,
                                           _GRID_BLOCK), em) - 1])
-    logs, rsqrt = _n_terms(int(m[-1]))
+    logs, rsqrt = _n_terms(int(m.max(initial=0)))
     rotation = np.exp(-1j * (_SCAN_STEP * np.arange(_GRID_BLOCK)[:, None])
                       * logs)
-
-    def sums(start, m):
-        width = int(m.max())
-        terms = np.exp(-1j * (start[:, None] * logs[:width]))
+    s = np.empty((m.size, _GRID_BLOCK), dtype=complex)
+    for b in range(0, m.size, _GRID_GROUP):
+        mg = m[b:b + _GRID_GROUP]
+        width = int(mg[-1])
+        terms = np.exp(-1j * (t[::_GRID_BLOCK][b:b + _GRID_GROUP, None]
+                              * logs[:width]))
         terms *= rsqrt[:width]
-        terms[np.arange(1, width + 1) > m[:, None]] = 0.0
-        return terms @ rotation[:, :width].T
-
-    s = _blockwise(sums, t[::_GRID_BLOCK], m).ravel()[:em]
+        terms[np.arange(1, width + 1) > mg[:, None]] = 0.0
+        s[b:b + _GRID_GROUP] = terms @ rotation[:, :width].T
     tail = _em_tail(0.5 + 1j * t, np.repeat(m, _GRID_BLOCK)[:em])
-    z[:em] = (np.exp(1j * _theta(t)) * (s + tail)).real
-    return z[lead:]
+    z[:em] = (np.exp(1j * _theta(t)) * (s.ravel()[:em] + tail)).real
+    return z[j0 - first:j0 - first + count]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +426,8 @@ def _zero_count_estimate(t_max: float) -> int:
     if t_max <= 0.0:
         return 0
     x = t_max / TWO_PI
-    smooth = x * math.log(x) - x + 0.875
+    # x log x -> 0 as x -> 0, where x underflows for the tiniest t_max
+    smooth = (x * math.log(x) if x > 0.0 else 0.0) - x + 0.875
     return max(0, int(math.floor(smooth + 0.5)))
 
 
@@ -482,28 +484,24 @@ def find_zeros(t_min: float, t_max: float) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
     Z is evaluated by _z_grid on the lattice j * _SCAN_STEP from the last
-    lattice point at or below t_min, so a range's brackets do not depend on
-    where it starts; the last point, clipped to t_max, by _z_batch. Each
-    bracket is refined by safeguarded Illinois regula falsi, with scalar
-    riemann_siegel_Z calls, to a sign-change bracket at most _ZERO_WIDTH
-    wide; the zero is its midpoint. A lattice point where Z is exactly 0 is
-    a zero too; it ends no sign-change bracket, so no refined zero repeats
-    it. The smooth counting estimate is good to +-1 per endpoint: a count
-    off by more than 1 from it (2 for a range that does not start at 0)
-    raises MissedZeroError.
+    lattice point at or below t_min to the first at or above t_max, so
+    (t_min, t_max] holds exactly the zeros of (0, B] in it, for any
+    B >= t_max. Each bracket is refined by safeguarded Illinois regula
+    falsi, with scalar riemann_siegel_Z calls, to a sign-change bracket at
+    most _ZERO_WIDTH wide; the zero is its midpoint. A lattice point where
+    Z is exactly 0 is a zero too; it ends no sign-change bracket, so no
+    refined zero repeats it. The smooth counting estimate is good to +-1 per
+    endpoint: a count off by more than 1 from it (2 for a range that does
+    not start at 0) raises MissedZeroError.
     """
     if not 0.0 <= t_min < t_max < math.inf:
         raise DomainError(
             f"need 0 <= t_min < t_max < inf, got ({t_min}, {t_max})")
 
     j0 = int(t_min // _SCAN_STEP)
-    count = int(math.ceil((t_max - j0 * _SCAN_STEP) / _SCAN_STEP)) + 1
-    ts = _SCAN_STEP * np.arange(j0, j0 + count)
-    vals = _z_grid(j0, count)
-    # the last point is clipped to t_max, which takes it off the grid
-    off = ts > t_max
-    ts[off] = t_max
-    vals[off] = _z_batch(ts[off])
+    j1 = int(-(-t_max // _SCAN_STEP))
+    ts = _SCAN_STEP * np.arange(j0, j1 + 1)
+    vals = _z_grid(j0, j1 + 1 - j0)
 
     zeros = ts[vals == 0.0].tolist()
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:

@@ -232,7 +232,7 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     shifts = np.concatenate([[0], zs]) * n
     sums = direct_bins(series.values, (shifts[:, None] + base_idx).ravel())
     sums = sums.reshape(shifts.size, -1)
-    diffs = np.max(np.abs(sums[1:] - sums[0]), axis=1)
+    diffs = np.max(np.abs(sums[1:] - sums[0]), axis=1, initial=0.0)
     return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, passed=d < tol)
             for z, d in zip(zs.tolist(), diffs.tolist())]
 

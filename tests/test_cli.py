@@ -67,6 +67,16 @@ def test_emit_none_writes_manifest_only(tmp_path):
     assert all(c["pass"] for c in manifest["checks"])
 
 
+def test_t_max_where_the_count_estimate_underflows(tmp_path):
+    # t_max / 2pi underflows to 0; the run finds no zeros and ends normally
+    out = tmp_path / "out"
+    cp = run_cli("run", "--out", str(out), "--emit", "none",
+                 "--t-max", "1e-323")
+    assert cp.returncode == 0, cp.stderr
+    assert all(c["pass"] for c in
+               json.loads((out / "manifest.json").read_text())["checks"])
+
+
 def test_emit_subset(tmp_path):
     out = tmp_path / "out"
     cp = run_cli("run", "--out", str(out), "--emit", "series,spiral",

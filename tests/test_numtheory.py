@@ -9,10 +9,10 @@ from zetaspectra import (DomainError, MissedZeroError, ZeroTableError,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train)
 
-from zetaspectra.numtheory import (_GRID_BLOCK, RS_CROSSOVER, _Z_BLOCK_TERMS,
-                                   _ZERO_WIDTH, _em_cutoff, _refine, _rs_terms,
-                                   _theta_exact, _z_batch, _z_grid,
-                                   _zero_count_estimate)
+from zetaspectra.numtheory import (_GRID_BLOCK, _GRID_GROUP, RS_CROSSOVER,
+                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
+                                   _refine, _rs_terms, _theta_exact, _z_batch,
+                                   _z_grid, _zero_count_estimate)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
@@ -168,27 +168,40 @@ def test_batched_Z_matches_scalar():
 def _grid_rows(j0, count):
     """The lattice j * _SCAN_STEP for 0 <= j < j0 + count, the index of its
     first point at or above the crossover, each lattice block's cutoff (at
-    its last row below the crossover), and the rows from j0 on to check:
-    the first and last rows of the first blocks, of a middle block, of the
-    blocks on both sides of the first product boundary and of the last block
-    below the crossover; rows below t = 10; the rows on both sides of the
-    crossover."""
+    its last row below the crossover), the index of the first block of the
+    group after j0's, and the rows from j0 on to check: the first and last
+    rows of the first blocks, of a middle block, of the blocks on both sides
+    of that group boundary and of the last block below the crossover; rows
+    below t = 10; the rows on both sides of the crossover."""
     ts = numtheory._SCAN_STEP * np.arange(j0 + count)
     em = int(np.sum(ts < RS_CROSSOVER))
     ends = np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK, _GRID_BLOCK),
                       em)
     m = _em_cutoff(ts[ends - 1])
-    per_product = _Z_BLOCK_TERMS // int(m[-1])
     first = j0 // _GRID_BLOCK
-    # the first product starts a block before j0's (see _z_grid)
-    boundary = max(0, first - 1) + per_product
+    # groups of _GRID_GROUP blocks start at lattice multiples (see _z_grid)
+    boundary = (first // _GRID_GROUP + 1) * _GRID_GROUP
     picked = {first, first + 1, first + 2, (first + m.size) // 2,
               boundary - 1, boundary, m.size - 1}
     rows = {r for b in picked if b < m.size
             for r in (b * _GRID_BLOCK, ends[b] - 1)}
     rows |= set(np.flatnonzero(ts < 10.0)[::40].tolist())
     rows |= {em - 1, em}
-    return ts, em, m, sorted(r for r in rows if r >= j0)
+    return ts, em, m, boundary, sorted(r for r in rows if r >= j0)
+
+
+# Starts of the slices that must equal the whole grid's points: inside the
+# first group, inside a later one, and in the last block below the crossover
+# at step 0.05; each slice ends inside a group.
+SLICE_STARTS = (370, 5000, 19979)
+SLICE_COUNT = 2000
+
+
+def _assert_slices_match(whole):
+    for j0 in SLICE_STARTS:
+        assert (j0 + SLICE_COUNT) % (_GRID_GROUP * _GRID_BLOCK) != 0
+        assert np.array_equal(_z_grid(j0, SLICE_COUNT),
+                              whole[j0:j0 + SLICE_COUNT]), j0
 
 
 @pytest.mark.parametrize("t_min, step, t_max", [(0.0, 0.01, 1100.0),
@@ -209,8 +222,8 @@ def test_grid_Z_within_error_model_of_multiprecision(t_min, step, t_max,
     monkeypatch.setattr(numtheory, "_SCAN_STEP", step)
     j0 = int(t_min // step)
     count = 1 + math.ceil((t_max - j0 * step) / step)
-    ts, em, m, rows = _grid_rows(j0, count)
-    assert m.size * int(m[-1]) > _Z_BLOCK_TERMS  # more than one product
+    ts, em, m, boundary, rows = _grid_rows(j0, count)
+    assert boundary < m.size  # the rows checked span more than one group
     z = _z_grid(j0, count)
     u = 2.0 ** -53
     for i in rows:
@@ -228,13 +241,11 @@ def test_grid_Z_within_error_model_of_multiprecision(t_min, step, t_max,
                  + 5 * u * np.sum(1.0 / np.sqrt(n))
                  + float(offset) * np.sum(np.log(n) / np.sqrt(n)))
         assert err <= bound, (ts[i], err, bound)
-    # the blocks lie on the lattice: from an unaligned start the points equal
-    # those of the call from the start of their block, bit for bit
-    base = j0 - j0 % _GRID_BLOCK
-    aligned = _z_grid(base, j0 + count - base)
-    assert np.array_equal(z, aligned[j0 - base:])
-    assert np.array_equal(_z_grid(base + 37, j0 + count - base - 37),
-                          aligned[37:])
+    # the groups lie on the lattice: whatever a call's start and end, its
+    # points equal those of the call from 0, bit for bit
+    whole = _z_grid(0, j0 + count)
+    assert np.array_equal(z, whole[j0:])
+    _assert_slices_match(whole)
 
 
 def test_grid_Z_signs_match_batch_on_the_scan_grid():
@@ -244,17 +255,19 @@ def test_grid_Z_signs_match_batch_on_the_scan_grid():
     z = _z_grid(0, count)
     assert np.array_equal(np.sign(z), np.sign(_z_batch(ts)))
     # a start in the last block below the crossover, where that block alone
-    # would be a one-row product, gives the same points bit for bit
+    # would be a one-row product, gives the same points bit for bit, and so
+    # do slices that start and end inside groups
     assert np.array_equal(_z_grid(19979, count - 19979), z[19979:])
+    _assert_slices_match(z)
 
 
 @pytest.mark.parametrize("t_max, count", [(98.84, 29), (98.831, 28)])
 def test_find_zeros_where_the_step_does_not_divide_the_range(t_max, count):
-    # the last lattice point, 98.85, is clipped to t_max, and the last cell
-    # is [98.8, t_max]: the zero at 98.8312 lies inside it for the first
-    # t_max and between t_max and 98.85 for the second, where Z at 98.85
-    # has the other sign than at t_max
-    assert np.sign(Z_mpmath(98.85)) != np.sign(Z_mpmath(98.831))
+    # the scan ends at the first lattice point at or above t_max, 98.85, so
+    # the last cell is [98.80, 98.85] for both: it brackets the zero at
+    # 98.8312, which lies below the first t_max and above the second, where
+    # the refined zero is dropped
+    assert np.sign(Z_mpmath(98.85)) != np.sign(Z_mpmath(98.8))
     found = find_zeros(3.7, t_max)
     assert len(found) == count
     for n, got in enumerate(found.events, 1):
@@ -278,7 +291,9 @@ def test_find_zeros_first_three():
 
 
 def test_find_zeros_none_below_ten():
-    assert len(find_zeros(0.0, 10.0)) == 0
+    # down to the least float, where t_max / 2pi underflows to 0
+    for t_max in (10.0, 5e-324):
+        assert len(find_zeros(0.0, t_max)) == 0
 
 
 def test_find_zeros_below_100_against_fixture():
@@ -412,6 +427,25 @@ def test_zeros_do_not_depend_on_where_the_range_starts(a):
     t_max = 3000.0 if a > RS_CROSSOVER else 200.0
     whole = find_zeros(0.0, t_max).events
     assert np.array_equal(find_zeros(a, t_max).events, whole[whole > a])
+
+
+@pytest.fixture(scope="module")
+def zeros_3000():
+    return find_zeros(0.0, 3000.0).events
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 14.1348), (0.0, 21.0222),
+                                  (0.0, 98.84), (0.0, 1420.417),
+                                  (0.0, 2930.712), (3.7, 98.84),
+                                  (77.77, 1420.417), (1500.3, 2930.712)])
+def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
+    # the scan ends on the lattice, at its first point at or above b, and
+    # each point's value depends on its lattice index alone, so (a, b] holds
+    # exactly the zeros of (0, 3000] in (a, b]; the b just past a zero put
+    # that zero in the last cell
+    whole = zeros_3000
+    assert np.array_equal(find_zeros(a, b).events,
+                          whole[(whole > a) & (whole <= b)])
 
 
 def test_coarse_scan_raises_missed_zero(monkeypatch):

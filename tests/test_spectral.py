@@ -345,6 +345,9 @@ def test_periodicity_bin_subset():
     far = np.array([np.iinfo(np.int64).max - 1, -7, 250])
     (report,) = periodicity_check(series, [3], bins=far)
     assert report.passed and report.max_abs_diff == 0.0
+    # no bins at all: nothing differs
+    (report,) = periodicity_check(series, [1], bins=[])
+    assert report.passed and report.max_abs_diff == 0.0
 
 
 # ---------------------------------------------------------------------------
