@@ -26,14 +26,13 @@ whole, so each scan value depends on its lattice index alone. Below the
 crossover the main sum of n^(-1/2 - it) over a block of 64 rows is one
 complex exponential per term times one table of rotations
 exp(-i j step log n), and a group's 16 blocks are one complex matrix
-product; a group's rows from the crossover on go through ``_z_batch``
-together (the same routes and formulas as the scalar ``riemann_siegel_Z``,
-as masked matrices of real cosine terms). Each sign change is then refined
-by safeguarded Illinois regula falsi (``_refine``) to a bracket 1e-9 wide,
-about five scalar ``riemann_siegel_Z`` calls per zero. The zero count is
-checked against the smooth counting estimate; a close pair of zeros lost in
-one lattice cell shows only where the count then falls outside the
-estimate's band.
+product; the rows from the crossover on go through one ``_z_batch`` call,
+whose every value depends on its own t alone. Each sign change is then
+refined by safeguarded Illinois regula falsi (``_refine``) to a bracket
+1e-9 wide, about five scalar ``riemann_siegel_Z`` calls per zero. The zero
+count is checked against the smooth counting estimate; a close pair of
+zeros lost in one lattice cell shows only where the count then falls
+outside the estimate's band.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class EventSequence:
         arr = np.asarray(self.events, dtype=float)
         if arr.ndim != 1:
             raise ValueError("events must be one-dimensional")
-        if arr.size and arr[0] <= 0.0:
-            raise ValueError("all event locations must be positive")
+        if not np.all((arr > 0.0) & (arr < math.inf)):
+            raise ValueError("all event locations must be positive and finite")
         if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
             raise ValueError("event locations must be strictly increasing")
         arr = arr.copy()
@@ -115,8 +114,9 @@ def sieve_primes(limit: int) -> EventSequence:
 
 def synthetic_train(gap: float, t_max: float) -> EventSequence:
     """Equally spaced events gap, 2*gap, ... up to t_max (an impulse train)."""
-    if gap <= 0.0 or t_max < gap:
-        raise DomainError(f"need 0 < gap <= t_max, got gap={gap}, t_max={t_max}")
+    if not 0.0 < gap <= t_max < math.inf:
+        raise DomainError(
+            f"need 0 < gap <= t_max < inf, got gap={gap}, t_max={t_max}")
     n = int(math.floor(t_max / gap))
     events = gap * np.arange(1, n + 1, dtype=float)
     return EventSequence(events)
@@ -153,15 +153,14 @@ def _n_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cos_sum(t, theta, m):
     """sum_{n<=m} n^-1/2 cos(theta - t log n), for one t or elementwise on
-    arrays: then a matrix of real terms, one row per t, the terms n > m
-    masked."""
+    arrays: then a matrix of real terms, one row per t, each row summed in
+    order of n and read at its own cutoff m."""
     if np.isscalar(t):
         logs, rsqrt = _n_terms(m)
         return np.cos(theta - t * logs) @ rsqrt
     logs, rsqrt = _n_terms(int(m.max()))
-    terms = np.cos(theta[:, None] - t[:, None] * logs)
-    terms[np.arange(1, logs.size + 1) > m[:, None]] = 0.0
-    return terms @ rsqrt
+    terms = np.cos(theta[:, None] - t[:, None] * logs) * rsqrt
+    return np.cumsum(terms, axis=1)[np.arange(t.size), m - 1]
 
 
 def _em_cutoff(t):
@@ -271,9 +270,10 @@ RS_CROSSOVER = 1000.0
 
 
 def _rs_terms(p):
-    """C0..C4 at p in [0, 1); each a float for one p, or an array over p."""
+    """C0..C4 at p in [0, 1), one product per p; floats, or arrays over p."""
     z = 2.0 * p - 1.0
-    c = (np.asarray(z * z)[..., None] ** _RS_POWERS @ _RS_TABLE).T
+    powers = np.asarray(z * z)[..., None, None] ** _RS_POWERS
+    c = (powers @ _RS_TABLE)[..., 0, :].T
     return c[0], z * c[1], c[2], z * c[3], c[4]
 
 
@@ -307,8 +307,8 @@ def riemann_siegel_Z(t: float) -> float:
     phase below t = 10 and the asymptotic phase series above it; from
     RS_CROSSOVER on it is the Riemann-Siegel asymptotic formula.
     """
-    if t < 0.0:
-        raise DomainError(f"Z is evaluated for t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"Z is evaluated for 0 <= t < inf, got {t}")
     if t >= RS_CROSSOVER:
         tau = math.sqrt(t / TWO_PI)
         return float(_rs_z(t, tau, int(tau)))
@@ -316,16 +316,17 @@ def riemann_siegel_Z(t: float) -> float:
     return float(_em_z(t, theta, int(_em_cutoff(t))))
 
 
-# Most terms one block of _z_batch (real, 8 MiB) holds, so the working set
-# stays a few blocks wide whatever the batch's size; a product of _z_grid
-# holds at most 16 x 800 complex terms.
-_Z_BLOCK_TERMS = 2 ** 20
+# Most terms one block of _z_batch (real, 1 MiB) holds, so the working set
+# stays a few blocks wide whatever the batch's size. _z_grid sends all its
+# rows from RS_CROSSOVER on in one call; at 2^20 its blocks lifted the peak
+# memory of a scan to 3000 by 9 MiB, at 2^17 not at all.
+_Z_BLOCK_TERMS = 2 ** 17
 
 
 def _blockwise(rows, *cols) -> np.ndarray:
-    """rows(*cols) on consecutive blocks of at most _Z_BLOCK_TERMS terms,
-    where the last column holds each row's cutoff m (its number of terms)."""
-    step = _Z_BLOCK_TERMS // max(1, int(cols[-1].max(initial=0)))
+    """rows(*cols) on consecutive blocks of at most _Z_BLOCK_TERMS terms, or
+    one row, where the last column holds each row's cutoff m (term count)."""
+    step = max(1, _Z_BLOCK_TERMS // int(cols[-1].max(initial=1)))
     parts = [rows(*(c[i:i + step] for c in cols))
              for i in range(0, cols[0].size, step)]
     return np.concatenate(parts) if parts else cols[0]
@@ -344,13 +345,14 @@ def _theta(t: np.ndarray) -> np.ndarray:
 def _z_batch(ts: np.ndarray) -> np.ndarray:
     """riemann_siegel_Z at every point of ts, by the same routes and formulas.
 
-    Each route sums a matrix of real cosine terms (one row per t, the terms
-    past the row's cutoff masked), block by block. Sorted input keeps the
-    padding small, since a block is as wide as its largest cutoff.
+    Each route sums a matrix of real cosine terms block by block, each row
+    in order to its own cutoff, so every value depends on its t alone. Sorted
+    input keeps the padding small, since a block is as wide as its largest
+    cutoff.
     """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0):
-        raise DomainError(f"Z is evaluated for t >= 0, got {ts.min()}")
+    if not np.all(ok := (ts >= 0.0) & (ts < math.inf)):
+        raise DomainError(f"Z is evaluated for 0 <= t < inf, got {ts[~ok][0]}")
     z = np.empty_like(ts)
     em = ts < RS_CROSSOVER
     t = ts[em]
@@ -380,16 +382,15 @@ def _z_grid(j0: int, count: int) -> np.ndarray:
     complex exponential per term and a group's sums are one complex matrix
     product. Every row of a block sums to the block's largest cutoff M_b,
     which only makes the tail's truncation smaller; then
-    Z = Re(exp(i theta) (S + tail)). A group's rows from RS_CROSSOVER on go
-    to _z_batch together.
+    Z = Re(exp(i theta) (S + tail)). The rows from RS_CROSSOVER on go to
+    one _z_batch call, whose values depend on their t alone.
     """
     rows = _GRID_GROUP * _GRID_BLOCK
     first = j0 - j0 % rows
     ts = _SCAN_STEP * np.arange(first, -(-(j0 + count) // rows) * rows)
     em = int(np.searchsorted(ts, RS_CROSSOVER))
     z = np.empty(ts.size)
-    for g in range(em - em % rows, ts.size, rows):
-        z[max(g, em):g + rows] = _z_batch(ts[max(g, em):g + rows])
+    z[em:] = _z_batch(ts[em:])
     t = ts[:em]
     # each block's cutoff, at its last row below the crossover
     m = _em_cutoff(t[np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK,

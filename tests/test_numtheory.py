@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaspectra import numtheory
-from zetaspectra import (DomainError, MissedZeroError, ZeroTableError,
-                         find_zeros, load_zeros, riemann_siegel_Z,
-                         sieve_primes, synthetic_train)
+from zetaspectra import (DomainError, EventSequence, MissedZeroError,
+                         ZeroTableError, find_zeros, load_zeros,
+                         riemann_siegel_Z, sieve_primes, synthetic_train)
 
 from zetaspectra.numtheory import (_GRID_BLOCK, _GRID_GROUP, RS_CROSSOVER,
                                    _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
@@ -56,8 +58,19 @@ def test_sieve_count_to_a_million():
 def test_synthetic_train():
     seq = synthetic_train(10.0, 99.0)
     assert list(seq.events) == [10, 20, 30, 40, 50, 60, 70, 80, 90]
-    with pytest.raises(DomainError):
-        synthetic_train(0.0, 50.0)
+    for gap, t_max in [(0.0, 50.0), (math.nan, 10.0), (10.0, math.nan),
+                       (10.0, math.inf), (math.inf, math.inf)]:
+        with pytest.raises(DomainError):
+            synthetic_train(gap, t_max)
+
+
+@pytest.mark.parametrize("events", [[0.0, 1.0], [-1.0], [math.nan],
+                                    [1.0, math.nan], [1.0, math.inf]],
+                         ids=["zero", "negative", "nan", "nan-last",
+                              "inf-last"])
+def test_event_sequence_rejects_locations_not_positive_and_finite(events):
+    with pytest.raises(ValueError):
+        EventSequence(np.array(events))
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +91,9 @@ def test_Z_at_origin_is_zeta_half():
 
 
 def test_Z_rejects_negative():
-    with pytest.raises(DomainError):
-        riemann_siegel_Z(-0.5)
+    for t in (-0.5, -math.inf, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            riemann_siegel_Z(t)
 
 
 def test_Z_grid_against_euler_maclaurin_oracle():
@@ -160,9 +174,33 @@ def test_batched_Z_matches_scalar():
     batch = _z_batch(ts)
     scalar = np.array([riemann_siegel_Z(float(t)) for t in ts])
     assert np.max(np.abs(batch - scalar)) < 1e-12
-    # order does not matter, only the padding of each block
+    # each value depends on its t alone: neither the order nor the padding
+    # of the blocks changes a bit of it
     perm = np.random.default_rng(0).permutation(ts.size)
-    assert np.max(np.abs(_z_batch(ts[perm]) - batch[perm])) < 1e-12
+    assert np.array_equal(_z_batch(ts[perm]), batch[perm])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, RS_CROSSOVER, exclude_max=True),
+                          st.floats(RS_CROSSOVER, 9000.0)),
+                min_size=1, max_size=40))
+def test_batched_Z_depends_on_its_t_alone(ts):
+    # a point's value in a sorted batch on both sides of the crossover, bit
+    # for bit its value alone
+    ts = np.sort(np.array(ts))
+    batch = _z_batch(ts)
+    for i in range(ts.size):
+        assert batch[i] == _z_batch(ts[i:i + 1])[0], ts[i]
+
+
+def test_batched_Z_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 400 terms hold one row below the crossover and ten above
+    # it, against about 160 and 3500 rows at the default size
+    ts = np.concatenate([np.linspace(0.0, 1200.0, 601),
+                         np.linspace(5000.0, 9000.0, 201)])
+    batch = _z_batch(ts)
+    monkeypatch.setattr(numtheory, "_Z_BLOCK_TERMS", 400)
+    assert np.array_equal(_z_batch(ts), batch)
 
 
 def _grid_rows(j0, count):
@@ -253,7 +291,11 @@ def test_grid_Z_signs_match_batch_on_the_scan_grid():
     count = 60001
     ts = 0.05 * np.arange(count)
     z = _z_grid(0, count)
-    assert np.array_equal(np.sign(z), np.sign(_z_batch(ts)))
+    batch = _z_batch(ts)
+    assert np.array_equal(np.sign(z), np.sign(batch))
+    # from the crossover on the grid's rows are _z_batch's, bit for bit
+    rs = ts >= RS_CROSSOVER
+    assert np.array_equal(z[rs], batch[rs])
     # a start in the last block below the crossover, where that block alone
     # would be a one-row product, gives the same points bit for bit, and so
     # do slices that start and end inside groups
@@ -275,8 +317,9 @@ def test_find_zeros_where_the_step_does_not_divide_the_range(t_max, count):
 
 
 def test_batched_Z_rejects_negative():
-    with pytest.raises(DomainError):
-        _z_batch(np.array([1.0, -0.5, 2.0]))
+    for bad in (-0.5, -math.inf, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            _z_batch(np.array([1.0, bad, 20.0]))
 
 
 # ---------------------------------------------------------------------------
