@@ -3,10 +3,9 @@ Fourier spectra, spectral property checks, and harmonic reconstruction."""
 
 __version__ = "0.1.0"
 
-from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
-                       ReconstructionResult, detect_peaks, fermat_spiral,
-                       frequency_ratio_series, pnt_ratio, reciprocal_series,
-                       reconstruct)
+from .analysis import (PeakReport, ReconstructionResult, detect_peaks,
+                       fermat_spiral, frequency_ratio_series, pnt_ratio,
+                       reciprocal_series, reconstruct)
 from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros,
@@ -29,7 +28,7 @@ __all__ = [
     "dft", "dft_direct", "idft", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis
-    "FrequencyRatioReport", "ReciprocalReport", "PeakReport",
-    "ReconstructionResult", "frequency_ratio_series", "reciprocal_series",
-    "fermat_spiral", "detect_peaks", "reconstruct", "pnt_ratio",
+    "PeakReport", "ReconstructionResult", "frequency_ratio_series",
+    "reciprocal_series", "fermat_spiral", "detect_peaks", "reconstruct",
+    "pnt_ratio",
 ]

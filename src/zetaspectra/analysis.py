@@ -12,8 +12,6 @@ from .numtheory import DomainError, sieve_primes
 from .spectral import Spectrum, idft
 
 __all__ = [
-    "FrequencyRatioReport",
-    "ReciprocalReport",
     "PeakReport",
     "ReconstructionResult",
     "frequency_ratio_series",
@@ -23,39 +21,6 @@ __all__ = [
     "reconstruct",
     "pnt_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class FrequencyRatioReport:
-    """Consecutive-frequency ratios f_{t+1}/f_t for t = 1..N-2.
-
-    On a uniform axis every ratio is (t+1)/t, so the series tends to 1.
-    ``edge_t`` is the half-spectrum edge bin N//2; since "largest frequency"
-    can mean either the Nyquist bin or the last bin, the edge is compared
-    against both.
-    """
-
-    ratios: np.ndarray
-    edge_t: int  # last pair index inside the half-spectrum: N//2 - 1
-    ratio_at_edge: float
-    edge_vs_nyquist: float
-    edge_vs_last_bin: float
-
-
-@dataclass(frozen=True)
-class ReciprocalReport:
-    """Reciprocal frequencies 1/f_t for t = 1..N-1.
-
-    At the half-spectrum edge t = N//2 the reciprocal is ~2*delta, i.e.
-    2/f_s for sampling rate f_s = 1/delta; both 1/f_s and 2/f_s are carried
-    as candidate limiting values.
-    """
-
-    reciprocals: np.ndarray
-    edge_t: int
-    value_at_edge: float
-    candidate_limit_inv_fs: float
-    candidate_limit_two_inv_fs: float
 
 
 @dataclass(frozen=True)
@@ -78,37 +43,22 @@ class ReconstructionResult:
     rms_error: float
 
 
-def frequency_ratio_series(spectrum: Spectrum) -> FrequencyRatioReport:
-    """Ratios of consecutive bin frequencies plus the half-spectrum edge view."""
+def frequency_ratio_series(spectrum: Spectrum) -> np.ndarray:
+    """Ratios f_{t+1}/f_t = (t+1)/t of consecutive bin frequencies, entry
+    t - 1 for t = 1..N-2; the pair that ends at the half-spectrum edge N//2
+    is entry N//2 - 2."""
     n = spectrum.nbins
     if n < 3:
         raise ValueError(f"need at least 3 bins, got {n}")
     t = np.arange(1, n - 1, dtype=float)
-    ratios = (t + 1.0) / t
-    edge_t = max(1, min(n // 2 - 1, n - 2))
-    f = spectrum.frequencies
-    return FrequencyRatioReport(
-        ratios=ratios,
-        edge_t=edge_t,
-        ratio_at_edge=float(ratios[edge_t - 1]),
-        edge_vs_nyquist=float((n / 2.0) / edge_t),
-        edge_vs_last_bin=float(f[n - 1] / f[edge_t]),
-    )
+    return (t + 1.0) / t
 
 
-def reciprocal_series(spectrum: Spectrum) -> ReciprocalReport:
-    """Reciprocals of the positive bin frequencies (DC excluded)."""
-    n = spectrum.nbins
-    recips = 1.0 / spectrum.frequencies[1:]
-    delta = spectrum.source_grid.delta
-    edge_t = max(1, n // 2)
-    return ReciprocalReport(
-        reciprocals=recips,
-        edge_t=edge_t,
-        value_at_edge=float(recips[edge_t - 1]),
-        candidate_limit_inv_fs=delta,
-        candidate_limit_two_inv_fs=2.0 * delta,
-    )
+def reciprocal_series(spectrum: Spectrum) -> np.ndarray:
+    """Reciprocals 1/f_t = N delta / t of the bin frequencies, entry t - 1
+    for t = 1..N-1 (DC excluded); at the half-spectrum edge t = N//2, entry
+    N//2 - 1, it is about 2 delta, twice the sampling period."""
+    return 1.0 / spectrum.frequencies[1:]
 
 
 def fermat_spiral(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:

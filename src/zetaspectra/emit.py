@@ -31,8 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import (FrequencyRatioReport, PeakReport, ReciprocalReport,
-                       ReconstructionResult)
+from .analysis import PeakReport, ReconstructionResult
 from .grid import MangoldtSeries
 from .spectral import Spectrum, amplitude_phase
 
@@ -259,14 +258,13 @@ def write_recon_csv(path: Path, series: MangoldtSeries,
     return original.size
 
 
-def write_ratios_csv(path: Path, ratios: FrequencyRatioReport,
-                     reciprocals: ReciprocalReport) -> int:
+def write_ratios_csv(path: Path, ratios: np.ndarray,
+                     recips: np.ndarray) -> int:
     # reciprocals run one index further than ratios; the last ratio cell is empty
-    recips = reciprocals.reciprocals
     t = np.arange(1, recips.size + 1)
-    m = ratios.ratios.size
+    m = ratios.size
     _write_csv(path, "t,ratio,reciprocal",
-               chain(_rows(t[:m], ratios.ratios, recips[:m]),
+               chain(_rows(t[:m], ratios, recips[:m]),
                      _rows(t[m:], None, recips[m:])))
     return recips.size
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import EventSequence
+from .numtheory import DomainError, EventSequence
 
 __all__ = ["GridSpec", "MangoldtSeries", "build_series"]
 
@@ -32,6 +32,8 @@ class GridSpec:
     def for_events(cls, events: EventSequence, delta: float = 1.0) -> "GridSpec":
         """Smallest grid covering every event: length ceil(max/delta)+1."""
         top = float(events.events[-1]) if len(events) else 0.0
+        if top / delta == math.inf:
+            raise DomainError(f"grid length {top} / {delta} is not finite")
         return cls(delta=delta, length=max(2, int(math.ceil(top / delta)) + 1))
 
     def locations(self) -> np.ndarray:

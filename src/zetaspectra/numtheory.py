@@ -117,8 +117,10 @@ def synthetic_train(gap: float, t_max: float) -> EventSequence:
     if not 0.0 < gap <= t_max < math.inf:
         raise DomainError(
             f"need 0 < gap <= t_max < inf, got gap={gap}, t_max={t_max}")
-    n = int(math.floor(t_max / gap))
-    events = gap * np.arange(1, n + 1, dtype=float)
+    n = t_max / gap
+    if 8 * n > np.iinfo(np.intp).max:  # float64 bytes numpy can index
+        raise DomainError(f"{n:.3g} events do not fit in one float64 array")
+    events = gap * np.arange(1, math.floor(n) + 1, dtype=float)
     return EventSequence(events)
 
 

@@ -43,10 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex DFT bins with their frequency axis (cycles per location unit)."""
+    """Complex DFT bins, one per sample of source_grid, which alone sets the
+    frequency axis: freq_step = 1/(N delta) cycles per location unit."""
 
     bins: np.ndarray
-    freq_step: float
     source_grid: GridSpec
 
     def __post_init__(self):
@@ -59,6 +59,10 @@ class Spectrum:
     @property
     def nbins(self) -> int:
         return int(self.bins.size)
+
+    @property
+    def freq_step(self) -> float:
+        return 1.0 / (self.source_grid.length * self.source_grid.delta)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -94,14 +98,9 @@ class ParsevalReport:
     passed: bool
 
 
-def _spectrum_for(grid: GridSpec, bins: np.ndarray) -> Spectrum:
-    freq_step = 1.0 / (grid.length * grid.delta)
-    return Spectrum(bins=bins, freq_step=freq_step, source_grid=grid)
-
-
 def dft(series: MangoldtSeries) -> Spectrum:
     """Forward transform of an indicator series (fast path)."""
-    return _spectrum_for(series.grid, np.fft.fft(series.values))
+    return Spectrum(np.fft.fft(series.values), series.grid)
 
 
 def _integers(x, what: str) -> np.ndarray:
@@ -166,8 +165,7 @@ def dft_direct(values: np.ndarray, grid: GridSpec) -> Spectrum:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.length,):
         raise ValueError("values length must match the grid")
-    bins = direct_bins(values, np.arange(grid.length))
-    return _spectrum_for(grid, bins)
+    return Spectrum(direct_bins(values, np.arange(grid.length)), grid)
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:
@@ -240,10 +238,7 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
 def conjugate_symmetry_check(spectrum: Spectrum, tol: float = 1e-9) -> SymmetryReport:
     """Max over l in 1..N-1 of ||X(l)| - |X(N-l)||; real input makes it ~0."""
     _check_tol(tol)
-    amp = spectrum.amplitudes
-    if spectrum.nbins < 2:
-        return SymmetryReport(0.0, tol, True)
-    inner = amp[1:]
+    inner = spectrum.amplitudes[1:]
     asym = float(np.max(np.abs(inner - inner[::-1])))
     return SymmetryReport(max_asymmetry=asym, tol=tol, passed=asym < tol)
 

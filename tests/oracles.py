@@ -2,8 +2,9 @@
 
 Everything here is written from the defining formulas, without touching the
 package's code paths: the transform oracles are literal double loops in
-cmath, the prime oracle is trial division, and the zeta/Z oracles combine a
-separately parameterised Euler-Maclaurin sum with multiprecision phases.
+cmath, the prime and prime-power oracles are trial division, and the zeta/Z
+oracles combine a separately parameterised Euler-Maclaurin sum with
+multiprecision phases.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ def trial_division_primes(limit):
         if is_prime:
             primes.append(n)
     return primes
+
+
+def prime_powers(limit):
+    """Every p^k <= limit (p prime, k >= 1), ascending."""
+    powers = []
+    for p in trial_division_primes(limit):
+        q = p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+    return sorted(powers)
 
 
 # --- Euler-Maclaurin zeta oracle (own truncation choices: M ~ 1.5 t, 14 terms)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from zetaspectra import (DomainError, GridSpec, Spectrum, detect_peaks, dft,
+from zetaspectra import (DomainError, EventSequence, GridSpec, Spectrum,
+                         build_series, detect_peaks, dft, find_zeros,
                          fermat_spiral, frequency_ratio_series, idft,
                          pnt_ratio, reciprocal_series, reconstruct,
                          sieve_primes)
 
 from conftest import random_indicator, series_from_values
-from oracles import dft_brute
+from oracles import dft_brute, prime_powers
 
 # pi(x) * ln(x) / x from the trial-division oracle, frozen
 PNT_ORACLE = {
@@ -32,33 +33,34 @@ def impulse_train(n, gap, delta=1.0):
 
 def test_ratio_first_is_two():
     spec = dft(random_indicator(32, np.random.default_rng(1)))
-    report = frequency_ratio_series(spec)
-    assert report.ratios[0] == 2.0
+    assert frequency_ratio_series(spec)[0] == 2.0
 
 
 def test_ratio_at_t_50():
     spec = dft(random_indicator(64, np.random.default_rng(2)))
-    report = frequency_ratio_series(spec)
-    assert report.ratios[49] == pytest.approx(51 / 50)
-    assert report.ratios[49] == pytest.approx(1.02)
+    ratios = frequency_ratio_series(spec)
+    assert ratios[49] == pytest.approx(51 / 50)
+    assert ratios[49] == pytest.approx(1.02)
 
 
 def test_ratio_edge_n_1000():
     spec = dft(random_indicator(1000, np.random.default_rng(3)))
-    report = frequency_ratio_series(spec)
-    assert report.edge_t == 499
-    assert report.ratio_at_edge == pytest.approx(500 / 499, abs=1e-15)
-    assert report.ratio_at_edge == pytest.approx(1.002004008, abs=1e-9)
-    # both readings of the top frequency are reported
-    assert report.edge_vs_nyquist == pytest.approx(500 / 499)
-    assert report.edge_vs_last_bin == pytest.approx(999 / 499)
+    ratios = frequency_ratio_series(spec)
+    # the pair t = 499 ends at the half-spectrum edge bin N//2 = 500
+    assert ratios[498] == 500 / 499
+    assert ratios[498] == pytest.approx(1.002004008, abs=1e-9)
+    # the two readings of the top frequency: the Nyquist bin and the last bin
+    f = spec.frequencies
+    assert f[500] / f[499] == pytest.approx(ratios[498])
+    assert f[999] / f[499] == pytest.approx(999 / 499)
 
 
 def test_ratio_identity_exact():
     spec = dft(random_indicator(200, np.random.default_rng(4)))
-    report = frequency_ratio_series(spec)
+    ratios = frequency_ratio_series(spec)
     t = np.arange(1, 199)
-    assert np.max(np.abs(report.ratios - (t + 1) / t)) < 1e-12
+    assert ratios.shape == t.shape
+    assert np.max(np.abs(ratios - (t + 1) / t)) < 1e-12
 
 
 def test_ratio_needs_three_bins():
@@ -72,26 +74,25 @@ def test_ratio_needs_three_bins():
 
 def test_reciprocal_simple():
     spec = dft(random_indicator(100, np.random.default_rng(5)))
-    report = reciprocal_series(spec)
+    recips = reciprocal_series(spec)
+    assert recips.shape == (99,)
     # f_10 = 0.1 on the unit grid of 100 samples
-    assert report.reciprocals[9] == pytest.approx(10.0)
-    assert report.reciprocals[24] == pytest.approx(4.0)  # t=25: 1/(25/100)
+    assert recips[9] == pytest.approx(10.0)
+    assert recips[24] == pytest.approx(4.0)  # t=25: 1/(25/100)
 
 
 def test_reciprocal_edge_is_two_on_unit_grid():
     spec = dft(random_indicator(100, np.random.default_rng(6)))
-    report = reciprocal_series(spec)
-    assert report.edge_t == 50
-    assert report.value_at_edge == pytest.approx(2.0)
-    assert report.candidate_limit_inv_fs == pytest.approx(1.0)
-    assert report.candidate_limit_two_inv_fs == pytest.approx(2.0)
+    recips = reciprocal_series(spec)
+    assert recips[49] == 2.0  # t = N//2 = 50: 2/f_s
+    assert recips[-1] == pytest.approx(100 / 99)  # the last bin nears 1/f_s
 
 
 def test_reciprocal_tracks_delta():
     series = series_from_values(impulse_train(64, 8).values, delta=0.5)
-    report = reciprocal_series(dft(series))
-    assert report.value_at_edge == pytest.approx(1.0)  # 2 * delta
-    assert report.candidate_limit_inv_fs == pytest.approx(0.5)
+    recips = reciprocal_series(dft(series))
+    assert recips[31] == 1.0  # 2 * delta
+    assert recips[-1] == pytest.approx(0.5 * 64 / 63)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ def test_spiral_named_angles():
     # quarter-turn frequency grid: f_l = l * pi/2
     bins = np.zeros(4, dtype=complex)
     grid = GridSpec(delta=2.0 / (4.0 * math.pi), length=4)
-    spec = Spectrum(bins=bins, freq_step=math.pi / 2.0, source_grid=grid)
+    spec = Spectrum(bins=bins, source_grid=grid)
     x, y = fermat_spiral(spec)
     assert (x[0], y[0]) == (0.0, 0.0)
     assert x[1] == pytest.approx(0.0, abs=1e-12)
@@ -193,6 +194,38 @@ def test_peaks_superposed_trains_recover_both_gaps():
         assert hit <= df + 1e-12
 
 
+@pytest.fixture(scope="module")
+def zeros_to_3000():
+    return find_zeros(0.0, 3000.0).events
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("t_max", [1e3, 3e3])
+def test_peaks_of_the_zeros_spectrum_sit_at_prime_powers(zeros_to_3000,
+                                                         t_max, delta):
+    # Landau (1911): the sum of x^(-i gamma) over the zeros gamma <= T is
+    # -(T/2pi) Lambda(x)/sqrt(x) + O(log T), so the spectrum of the zeros
+    # has a line at nu = log(x)/2pi for each prime power x, and the grid
+    # folds every frequency modulo 1/delta. The lines of x <= e^(2 pi) =
+    # 535.5 fill the half-spectrum at delta = 0.5 and a whole period at 1.
+    events = EventSequence(zeros_to_3000[zeros_to_3000 <= t_max])
+    spec = dft(build_series(events, GridSpec.for_events(events, delta)))
+    peaks = detect_peaks(spec)
+    powers = np.array(prime_powers(535))
+    lines = np.log(powers) / (2 * np.pi)
+
+    def bins_off(nu, lines):
+        d = (nu - np.concatenate([lines, -lines])) % (1.0 / delta)
+        return np.min(np.minimum(d, 1.0 / delta - d)) / spec.freq_step
+
+    assert len(peaks) >= 10
+    assert max(bins_off(p.frequency, lines) for p in peaks) <= 1.0
+    # the strongest lines have the largest Lambda(x)/sqrt(x), so they name
+    # prime powers up to e^pi = 23.1, whose lines cover few bins
+    assert max(bins_off(p.frequency, lines[powers <= 23])
+               for p in peaks[:5]) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------
@@ -254,7 +287,7 @@ def test_reconstruct_breaks_ties_at_the_kth_amplitude_by_index():
     # is the full ranking's, amplitude descending and then bin index
     n = 24
     exact = Spectrum(bins=np.where(np.arange(n) % 6 == 0, 6.0, 0.0) + 0j,
-                     freq_step=1.0 / n, source_grid=GridSpec(1.0, n))
+                     source_grid=GridSpec(1.0, n))
     for spec in (exact, dft(impulse_train(n, 4))):
         for k in range(1, n):
             top = np.lexsort((np.arange(n), -spec.amplitudes))[:k].tolist()

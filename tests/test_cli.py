@@ -189,10 +189,12 @@ def test_usage_errors_exit_2(tmp_path):
     ("--tol", "nan"),
     ("--tol", "inf"),
     ("--source", "zeros-file", "--zero-file", "UNDECODABLE"),
+    ("--source", "primes", "--limit", "10", "--delta", "1e-320"),
+    ("--source", "synthetic", "--gap", "1e-300"),
 ], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
         "k-beyond-grid", "z-beyond-int64", "z-repeated", "t-max-nan",
         "t-max-inf", "delta-nan", "gap-nan", "tol-nan", "tol-inf",
-        "undecodable-table"])
+        "undecodable-table", "grid-length-infinite", "train-beyond-array"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     tables = {"MALFORMED": tmp_path / "zeros.txt",
               "UNDECODABLE": tmp_path / "zeros-utf16.txt"}

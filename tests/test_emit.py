@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import GridSpec, MangoldtSeries, Spectrum, emit
-from zetaspectra.analysis import (FrequencyRatioReport, PeakReport,
-                                  ReciprocalReport, ReconstructionResult)
+from zetaspectra.analysis import PeakReport, ReconstructionResult
 from zetaspectra.spectral import amplitude_phase
 
 
@@ -113,7 +112,7 @@ def grid():
 @pytest.fixture
 def spectrum(rng, grid):
     return Spectrum(bins=spread(rng, ROWS) + 1j * spread(rng, ROWS),
-                    freq_step=1.0 / 2.999, source_grid=grid)
+                    source_grid=grid)
 
 
 def written(writer, path, *args) -> str:
@@ -159,8 +158,7 @@ def test_ratios_csv_keeps_the_empty_last_ratio(rng, tmp_path):
     ratios = spread(rng, ROWS - 2)
     t = np.arange(1, ROWS)
     text = written(emit.write_ratios_csv, tmp_path / "ratios.csv",
-                   FrequencyRatioReport(ratios, 0, 0.0, 0.0, 0.0),
-                   ReciprocalReport(recips, 0, 0.0, 0.0, 0.0))
+                   ratios, recips)
     assert text == ("t,ratio,reciprocal\n"
                     + by_row("%d,%.15g,%.15g\n", t[:-1], ratios, recips[:-1])
                     + by_row("%d,,%.15g\n", t[-1:], recips[-1:]))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zetaspectra import EventSequence, GridSpec, MangoldtSeries, build_series
+from zetaspectra import (DomainError, EventSequence, GridSpec, MangoldtSeries,
+                         build_series)
 
 from conftest import ZEROS_BELOW_100_MARKS, ZEROS_BELOW_100
 
@@ -35,6 +36,12 @@ def test_gridspec_for_events_default_rule():
     grid = GridSpec.for_events(events)
     assert grid.length == 100  # ceil(98.83) + 1
     assert grid.delta == 1.0
+
+
+def test_gridspec_for_events_refuses_a_length_that_is_not_finite():
+    # 7 / 1e-320 overflows to inf, which no sample count can hold
+    with pytest.raises(DomainError, match="not finite"):
+        GridSpec.for_events(events_of([7.0]), delta=1e-320)
 
 
 def test_gridspec_locations():

@@ -58,8 +58,11 @@ def test_sieve_count_to_a_million():
 def test_synthetic_train():
     seq = synthetic_train(10.0, 99.0)
     assert list(seq.events) == [10, 20, 30, 40, 50, 60, 70, 80, 90]
+    # the last two make 1e302 and inf events, too many for one float64 array;
+    # both are refused before numpy is asked for it
     for gap, t_max in [(0.0, 50.0), (math.nan, 10.0), (10.0, math.nan),
-                       (10.0, math.inf), (math.inf, math.inf)]:
+                       (10.0, math.inf), (math.inf, math.inf),
+                       (1e-300, 100.0), (1e-320, 100.0)]:
         with pytest.raises(DomainError):
             synthetic_train(gap, t_max)
 

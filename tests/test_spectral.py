@@ -15,8 +15,7 @@ from oracles import dft_brute, idft_brute
 def spectrum_from_bins(bins, delta=1.0):
     bins = np.asarray(bins, dtype=complex)
     grid = GridSpec(delta=delta, length=bins.size)
-    return Spectrum(bins=bins, freq_step=1.0 / (bins.size * delta),
-                    source_grid=grid)
+    return Spectrum(bins=bins, source_grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +150,20 @@ def test_frequency_axis():
     assert np.allclose(np.diff(spec.frequencies), spec.freq_step, rtol=1e-15)
 
 
+def test_freq_step_follows_the_grid_and_is_read_only():
+    grid = GridSpec(delta=0.3, length=7)
+    spec = Spectrum(np.zeros(7), grid)
+    assert spec.freq_step == 1.0 / (7 * 0.3)
+    assert dft_direct(np.ones(7), grid).freq_step == spec.freq_step
+    with pytest.raises(AttributeError):
+        spec.freq_step = 1.0
+
+
 def test_frequency_axis_respects_delta():
     series = random_indicator(40, np.random.default_rng(4))
     series = series_from_values(series.values, delta=0.25)
     spec = dft(series)
-    assert spec.freq_step == pytest.approx(1.0 / (40 * 0.25))
+    assert spec.freq_step == 1.0 / (40 * 0.25)
 
 
 def test_dft_linearity():
