@@ -3,9 +3,8 @@ Fourier spectra, spectral property checks, and harmonic reconstruction."""
 
 __version__ = "0.1.0"
 
-from .analysis import (PeakReport, ReconstructionResult, detect_peaks,
-                       fermat_spiral, frequency_ratio_series, pnt_ratio,
-                       reciprocal_series, reconstruct)
+from .analysis import (detect_peaks, fermat_spiral, frequency_ratio_series,
+                       pnt_ratio, reciprocal_series, reconstruct)
 from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros,
@@ -28,7 +27,6 @@ __all__ = [
     "dft", "dft_direct", "idft", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis
-    "PeakReport", "ReconstructionResult", "frequency_ratio_series",
-    "reciprocal_series", "fermat_spiral", "detect_peaks", "reconstruct",
-    "pnt_ratio",
+    "frequency_ratio_series", "reciprocal_series", "fermat_spiral",
+    "detect_peaks", "reconstruct", "pnt_ratio",
 ]

@@ -4,16 +4,13 @@ harmonic reconstruction, and the prime-counting ratio analogy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numtheory import DomainError, sieve_primes
-from .spectral import Spectrum, idft
+from .spectral import Spectrum
 
 __all__ = [
-    "PeakReport",
-    "ReconstructionResult",
     "frequency_ratio_series",
     "reciprocal_series",
     "fermat_spiral",
@@ -21,26 +18,6 @@ __all__ = [
     "reconstruct",
     "pnt_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class PeakReport:
-    """A dominant spectral line; its reciprocal frequency is the event gap
-    that would produce it."""
-
-    bin_index: int
-    frequency: float
-    amplitude: float
-    implied_gap: float
-
-
-@dataclass(frozen=True)
-class ReconstructionResult:
-    terms_used: int
-    bin_indices: np.ndarray  # ascending, closed under l -> (N - l) % N
-    values: np.ndarray
-    max_abs_error: float
-    rms_error: float
 
 
 def frequency_ratio_series(spectrum: Spectrum) -> np.ndarray:
@@ -69,13 +46,15 @@ def fermat_spiral(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def detect_peaks(spectrum: Spectrum,
-                 threshold_fraction: float = 0.5) -> list[PeakReport]:
-    """Local amplitude maxima over the half-spectrum, above a relative floor.
+                 threshold_fraction: float = 0.5) -> np.ndarray:
+    """Bins of the local amplitude maxima over the half-spectrum, above a
+    relative floor, as an intp array (empty when there is none).
 
-    A bin l in 1..N/2 qualifies when its amplitude strictly exceeds both
-    neighbours and reaches threshold_fraction of the largest non-DC
-    amplitude. Results are sorted by amplitude descending, ties going to the
-    lower bin.
+    A bin l in 1..N/2 qualifies when its amplitude exceeds both neighbours
+    by more than 1e-12 of the largest amplitude, DC included, and reaches
+    threshold_fraction of the largest non-DC amplitude. Bins are ordered by
+    amplitude descending, ties going to the lower bin; a peak's frequency,
+    amplitude and implied gap 1/f are the spectrum's columns at its bin.
     """
     if not 0.0 < threshold_fraction <= 1.0:
         raise ValueError(
@@ -83,44 +62,32 @@ def detect_peaks(spectrum: Spectrum,
     amp = spectrum.amplitudes
     n = spectrum.nbins
     if n < 3:
-        return []
-    ceiling = float(np.max(amp[1:]))
-    if ceiling == 0.0:
-        return []
-    floor = threshold_fraction * ceiling
-    margin = 1e-12 * ceiling  # flat spectra carry roundoff-level wiggle
+        return np.empty(0, dtype=np.intp)
+    floor = threshold_fraction * float(np.max(amp[1:]))
+    # the FFT leaves flat and DC-only spectra with wiggles of that order
+    margin = 1e-12 * float(np.max(amp))
     half = n // 2
     mid = amp[1:half + 1]
     hits = 1 + np.flatnonzero((mid > amp[:half] + margin)
                               & (mid > amp[2:half + 2] + margin)
                               & (mid >= floor))
-    hits = hits[np.lexsort((hits, -amp[hits]))]
-    return [PeakReport(bin_index=int(l), frequency=f, amplitude=float(amp[l]),
-                       implied_gap=1.0 / f)
-            for l, f in zip(hits, spectrum.frequencies[hits].tolist())]
+    return hits[np.lexsort((hits, -amp[hits]))]
 
 
-def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
-                original: np.ndarray | None = None) -> ReconstructionResult:
+def reconstruct(spectrum: Spectrum, k_terms: int | str = "all") -> np.ndarray:
     """Superpose the k strongest bins (with conjugate partners) back into a
-    series.
+    real series, one sample per bin.
 
     Bins are ranked by amplitude descending, ties to the lower index; each
     selected bin contributes its inverse-transform term, and its conjugate
     partner is always included so every partial sum is a real cosine
-    superposition. Selecting all N bins reproduces the exact inverse
-    transform. Residuals are reported against ``original`` when given, else
-    against the full inverse transform.
+    superposition. Selecting all N bins gives the inverse FFT itself.
     """
     n = spectrum.nbins
-    if k_terms == "all":
-        k = n
-    else:
-        k = int(k_terms)
-        if not 1 <= k <= n:
-            raise ValueError(f"k_terms must be in 1..{n} or 'all', got {k_terms}")
-
-    chosen, bins = np.ones(n, dtype=bool), spectrum.bins
+    k = n if k_terms == "all" else int(k_terms)
+    if not 1 <= k <= n:
+        raise ValueError(f"k_terms must be in 1..{n} or 'all', got {k_terms}")
+    bins = spectrum.bins
     if k < n:  # with every bin chosen the ranking decides nothing
         # the k largest amplitudes, ties at the k-th to the lower bin index
         amp = spectrum.amplitudes
@@ -128,27 +95,12 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all",
         above = np.flatnonzero(amp > kth)
         top = np.concatenate(
             [above, np.flatnonzero(amp == kth)[:k - above.size]])
-        chosen[:] = False
+        chosen = np.zeros(n, dtype=bool)
         chosen[top] = True
         # close under conjugate partners so the partial sum stays real
         chosen[(n - top) % n] = True
         bins = np.where(chosen, bins, 0.0)
-    recon = np.fft.ifft(bins).real
-
-    if original is None:
-        target = idft(spectrum)
-    else:
-        target = np.asarray(original, dtype=float)
-        if target.shape != (n,):
-            raise ValueError("original must have one sample per bin")
-    resid = recon - target
-    return ReconstructionResult(
-        terms_used=k,
-        bin_indices=np.flatnonzero(chosen),
-        values=recon,
-        max_abs_error=float(np.max(np.abs(resid))),
-        rms_error=float(np.sqrt(np.mean(resid ** 2))),
-    )
+    return np.fft.ifft(bins).real
 
 
 def pnt_ratio(x: int, count: int | None = None) -> float:

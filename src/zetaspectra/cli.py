@@ -28,8 +28,8 @@ from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros, sieve_primes,
                         synthetic_train)
-from .spectral import (conjugate_symmetry_check, dft, idft, parseval_check,
-                       periodicity_check)
+from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft, idft,
+                       parseval_check, periodicity_check)
 
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
@@ -83,8 +83,9 @@ class RunConfig:
             raise ConfigError(f"gap must be positive, got {self.gap}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
-        if self.length is not None and self.length < 2:
-            raise ConfigError(f"length must be >= 2, got {self.length}")
+        if self.length is not None and not 2 <= self.length <= MAX_LENGTH:
+            raise ConfigError(f"length must be in 2..{MAX_LENGTH}, got "
+                              f"{self.length}")
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
             raise ConfigError(f"unknown emit names: {sorted(unknown)}")
@@ -168,6 +169,10 @@ def run(config: RunConfig) -> int:
         grid = GridSpec(delta=config.delta, length=config.length)
     else:
         grid = GridSpec.for_events(events, delta=config.delta)
+        if grid.length > MAX_LENGTH:  # so is --length, in validate
+            raise ConfigError(f"delta {config.delta} makes the grid longer "
+                              f"than {MAX_LENGTH} samples (int64 phases): "
+                              "raise --delta or set --length")
     if "ratios" in config.emit and grid.length < 3:
         raise ConfigError(f"ratios need at least 3 samples, the grid has "
                           f"{grid.length}")
@@ -192,7 +197,7 @@ def run(config: RunConfig) -> int:
     # before the writers fragment the heap: the inverse FFT's temporaries
     # set the run's peak memory
     if "recon" in config.emit:
-        recon = reconstruct(spectrum, config.k_terms, original=series.values)
+        recon = reconstruct(spectrum, config.k_terms)
     checks = _checks(series, spectrum, config)
 
     files = []
@@ -211,7 +216,8 @@ def run(config: RunConfig) -> int:
                                                fermat_spiral(spectrum)))
     if "peaks" in config.emit:
         peaks = detect_peaks(spectrum, config.threshold_fraction)
-        emitted("peaks.csv", write_peaks_csv(out_dir / "peaks.csv", peaks))
+        emitted("peaks.csv",
+                write_peaks_csv(out_dir / "peaks.csv", spectrum, peaks))
     if "recon" in config.emit:
         emitted("recon.csv",
                 write_recon_csv(out_dir / "recon.csv", series, recon))
@@ -221,11 +227,12 @@ def run(config: RunConfig) -> int:
         emitted("ratios.csv",
                 write_ratios_csv(out_dir / "ratios.csv", ratios, recips))
     if "pnt" in config.emit:
-        primes = sieve_primes(max(PNT_CHECKPOINTS)).events
-        counts = np.searchsorted(primes, PNT_CHECKPOINTS, side="right")
-        checkpoints = [(x, int(c), pnt_ratio(x, int(c)))
-                       for x, c in zip(PNT_CHECKPOINTS, counts)]
-        emitted("pnt.csv", write_pnt_csv(out_dir / "pnt.csv", checkpoints))
+        x = np.array(PNT_CHECKPOINTS)
+        counts = np.searchsorted(sieve_primes(x[-1]).events, x, side="right")
+        ratios = np.array([pnt_ratio(*c) for c in zip(x.tolist(),
+                                                      counts.tolist())])
+        emitted("pnt.csv",
+                write_pnt_csv(out_dir / "pnt.csv", x, counts, ratios))
 
     manifest = {
         "config_echo": dict(asdict(config), length=grid.length,

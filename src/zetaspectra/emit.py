@@ -31,7 +31,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analysis import PeakReport, ReconstructionResult
 from .grid import MangoldtSeries
 from .spectral import Spectrum, amplitude_phase
 
@@ -241,20 +240,23 @@ def write_spiral_csv(path: Path, spectrum: Spectrum,
     return x.size
 
 
-def write_peaks_csv(path: Path, peaks: list[PeakReport]) -> int:
+def write_peaks_csv(path: Path, spectrum: Spectrum,
+                    peaks: np.ndarray) -> int:
+    """One row per peak bin (as from analysis.detect_peaks), in the given
+    order, with its frequency f, amplitude and implied gap 1/f."""
+    f = spectrum.frequencies[peaks]
     _write_csv(path, "l,f,amplitude,implied_gap",
-               _rows(*(np.array([getattr(p, name) for p in peaks])
-                       for name in ("bin_index", "frequency", "amplitude",
-                                    "implied_gap"))))
-    return len(peaks)
+               _rows(peaks, f, spectrum.amplitudes[peaks], 1.0 / f))
+    return peaks.size
 
 
 def write_recon_csv(path: Path, series: MangoldtSeries,
-                    result: ReconstructionResult) -> int:
-    original, rec = series.values, result.values
+                    recon: np.ndarray) -> int:
+    """The series against its reconstruction (analysis.reconstruct)."""
+    original = series.values
     _write_csv(path, "n,original,reconstructed,abs_error",
-               _rows(np.arange(original.size), original, rec,
-                     np.abs(rec - original)))
+               _rows(np.arange(original.size), original, recon,
+                     np.abs(recon - original)))
     return original.size
 
 
@@ -269,10 +271,10 @@ def write_ratios_csv(path: Path, ratios: np.ndarray,
     return recips.size
 
 
-def write_pnt_csv(path: Path, checkpoints: list[tuple[int, int, float]]) -> int:
-    _write_csv(path, "x,prime_count,ratio",
-               _rows(*(np.array(c) for c in zip(*checkpoints))))
-    return len(checkpoints)
+def write_pnt_csv(path: Path, x: np.ndarray, count: np.ndarray,
+                  ratio: np.ndarray) -> int:
+    _write_csv(path, "x,prime_count,ratio", _rows(x, count, ratio))
+    return x.size
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

@@ -10,10 +10,10 @@ fast path delegates to the FFT; ``dft_direct`` keeps the literal sum as the
 reference route, and ``periodicity_check`` evaluates that sum at shifted
 integer arguments where the FFT cannot. The literal sum is exact in its
 phases (reduced in int64, N^2 < 2^63, then read from one table of
-exp(-2 pi i j / N)) and sums dense requests in blocks of about sqrt(N) bins
-that share one table of rotations (see ``direct_bins``). Per-bin quantities
-(``Spectrum.frequencies``, the amplitude and phase from ``amplitude_phase``)
-are numpy columns indexed by bin.
+exp(-2 pi i j / N)) and sums the requested bins in blocks of about sqrt(N)
+bins that share one table of rotations (see ``direct_bins``). Per-bin
+quantities (``Spectrum.frequencies``, ``Spectrum.amplitudes``, the amplitude
+and phase from ``amplitude_phase``) are numpy columns indexed by bin.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ __all__ = [
     "conjugate_symmetry_check",
     "parseval_check",
 ]
+
+# isqrt(2^63 - 1): the literal sum reduces each phase (m mod N) k in int64
+MAX_LENGTH = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,6 @@ class SymmetryReport:
 
 @dataclass(frozen=True)
 class ParsevalReport:
-    time_energy: float
-    spectral_energy: float
     rel_error: float
     tol: float
     passed: bool
@@ -116,17 +117,12 @@ def _integers(x, what: str) -> np.ndarray:
     return m
 
 
-def _bin_block(reduced: np.ndarray, n: int, marks: int) -> int:
-    """Bins per block of the literal sum: a power of two B near sqrt(N), at
-    most 2^20 / marks, or 1 where dearer. In multiply-adds per mark, u blocks
-    cost u (L + B) + B L and B = 1 costs L per index. L = 50: a lookup took
-    5.6-8.4 ns and a multiply-add 0.07-0.16 ns (N = 3001 to 999 984, OpenBLAS,
-    2 vCPUs)."""
-    b = 1 << max(0, min(n.bit_length() // 2,
-                        ((1 << 20) // max(marks, 1)).bit_length() - 1))
-    # return_inverse keeps np.unique on its sort, here 8x faster than its hash
-    blocks = np.unique(reduced // b, return_inverse=True)[0].size
-    return b if blocks * (50 + b) + 50 * b < 50 * reduced.size else 1
+def _bin_block(n: int, marks: int) -> int:
+    """Bins per block of the literal sum: the power of two near sqrt(N), at
+    most 2^20 / marks, so one block's rotation table holds at most 2^20
+    terms."""
+    return 1 << max(0, min(n.bit_length() // 2,
+                           ((1 << 20) // max(marks, 1)).bit_length() - 1))
 
 
 def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -134,21 +130,22 @@ def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
     sum_k v_k exp(-i 2 pi m k / N) for each requested index m, which may lie
     outside 0..N-1 (the shifted-argument checks need that), over the nonzero
-    samples only. With m mod N = u B + j (B from ``_bin_block``), block u's
-    row P[u, k] = T[(u B k) mod N] times one table of rotations R[j, k] =
-    v_k T[(j k) mod N] shared by all blocks gives its bins as one matrix
-    product P @ R.T, in pieces of about 2^20 terms; T is the table of N
-    twiddles exp(-2 pi i j / N). Every phase is reduced exactly in int64
-    first, which bounds N^2 below 2^63, so X(l + zN) equals X(l) bit for bit.
+    samples only. With m mod N = u B + j (B from ``_bin_block``, a power of
+    two near sqrt(N)), block u's row P[u, k] = T[(u B k) mod N] times one
+    table of rotations R[j, k] = v_k T[(j k) mod N] shared by all blocks
+    gives its bins as one matrix product P @ R.T, in pieces of about 2^20
+    terms; T is the table of N twiddles exp(-2 pi i j / N). Every phase is
+    reduced exactly in int64 first, which bounds N^2 below 2^63, so
+    X(l + zN) equals X(l) bit for bit.
     """
     values = np.asarray(values, dtype=float)
     n = max(values.size, 1)
-    if n > 3_037_000_499:  # isqrt(2^63 - 1): (m mod N) k must fit in int64
+    if n > MAX_LENGTH:
         raise ValueError(f"N = {n} is too large for int64 phase reduction")
     reduced = _integers(indices, "bin indices") % n
     k = np.flatnonzero(values)
     table = np.exp(-2j * np.pi * np.arange(n) / n)
-    b = _bin_block(reduced, n, k.size)
+    b = _bin_block(n, k.size)
     blocks, at = np.unique(reduced // b, return_inverse=True)
     rotation = table[np.outer(np.arange(b), k) % n] * values[k]
     out = np.empty((blocks.size, b), dtype=complex)
@@ -210,9 +207,8 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     unless that index reduction is wrong, which is all it guards; it does
     not exercise the float arithmetic of the sum. Non-integer z raises
     ValueError: the identity does not hold there. ``bins`` restricts the
-    checked integer indices (each costs at most one lookup per mark and
-    shift); default is all. Bins outside 0..N-1 are taken modulo N first,
-    which leaves X unchanged and keeps l + z*N inside int64.
+    checked integer indices; default is all. Bins outside 0..N-1 are taken
+    modulo N first, which leaves X unchanged and keeps l + z*N inside int64.
     """
     _check_tol(tol)
     n = series.grid.length
@@ -251,6 +247,4 @@ def parseval_check(series: MangoldtSeries, spectrum: Spectrum,
     spectral_energy = float(np.sum(np.abs(spectrum.bins) ** 2) / spectrum.nbins)
     scale = max(time_energy, 1.0)
     rel = abs(time_energy - spectral_energy) / scale
-    return ParsevalReport(time_energy=time_energy,
-                          spectral_energy=spectral_energy,
-                          rel_error=rel, tol=tol, passed=rel < tol)
+    return ParsevalReport(rel_error=rel, tol=tol, passed=rel < tol)

@@ -10,7 +10,7 @@ from zetaspectra import (DomainError, EventSequence, GridSpec, Spectrum,
                          sieve_primes)
 
 from conftest import random_indicator, series_from_values
-from oracles import dft_brute, prime_powers
+from oracles import dft_brute, prime_powers, trial_division_primes
 
 # pi(x) * ln(x) / x from the trial-division oracle, frozen
 PNT_ORACLE = {
@@ -127,19 +127,23 @@ def test_spiral_radius_identity(zeros100_series):
 # ---------------------------------------------------------------------------
 
 def test_peaks_impulse_train_gap_10():
-    series = impulse_train(100, 10)
-    peaks = detect_peaks(dft(series))
-    assert peaks
+    spec = dft(impulse_train(100, 10))
+    peaks = detect_peaks(spec)
+    assert peaks.dtype == np.intp and peaks.size
     top = peaks[0]
-    assert top.bin_index == 10
-    assert top.frequency == pytest.approx(0.1)
-    assert top.implied_gap == pytest.approx(10.0)
+    assert top == 10
+    assert spec.frequencies[top] == pytest.approx(0.1)
+    assert 1.0 / spec.frequencies[top] == pytest.approx(10.0)
+
+
+def no_peaks(peaks):
+    return peaks.dtype == np.intp and peaks.shape == (0,)
 
 
 def test_peaks_single_mark_flat_spectrum():
     values = np.zeros(64)
     values[7] = 1.0
-    assert detect_peaks(dft(series_from_values(values))) == []
+    assert no_peaks(detect_peaks(dft(series_from_values(values))))
 
 
 def test_peaks_two_marks_four_apart():
@@ -147,25 +151,35 @@ def test_peaks_two_marks_four_apart():
     values[11] = 1.0
     values[15] = 1.0
     spec = dft(series_from_values(values))
-    peaks = detect_peaks(spec)
-    top = peaks[0]
+    top = detect_peaks(spec)[0]
     # amplitude profile is 2|cos(pi l / 16)|: strongest line at l=16, gap 4
-    assert abs(top.frequency - 0.25) <= spec.freq_step
-    assert top.implied_gap == pytest.approx(4.0, abs=1e-9)
-    assert top.bin_index == 16
-    assert top.amplitude == pytest.approx(2.0)
+    assert abs(spec.frequencies[top] - 0.25) <= spec.freq_step
+    assert 1.0 / spec.frequencies[top] == pytest.approx(4.0, abs=1e-9)
+    assert top == 16
+    assert spec.amplitudes[top] == pytest.approx(2.0)
 
 
 def test_peaks_empty_spectrum():
-    assert detect_peaks(dft(series_from_values(np.zeros(16)))) == []
+    assert no_peaks(detect_peaks(dft(series_from_values(np.zeros(16)))))
+
+
+@pytest.mark.parametrize("n", [16, 64, 97, 100])
+def test_peaks_none_on_a_dc_only_spectrum(n):
+    # every sample marked: all weight in the DC bin; the FFT leaves the
+    # other bins at roundoff level (up to 6e-15 at N = 97), which must not
+    # read as lines
+    assert no_peaks(detect_peaks(dft(series_from_values(np.ones(n)))))
+    exact = Spectrum(bins=np.eye(1, n)[0] * n + 0j,
+                     source_grid=GridSpec(1.0, n))
+    assert no_peaks(detect_peaks(exact, threshold_fraction=1.0))
 
 
 def test_peaks_sorted_and_tie_broken():
-    series = impulse_train(100, 10)
-    peaks = detect_peaks(dft(series), threshold_fraction=0.5)
-    amps = [p.amplitude for p in peaks]
+    spec = dft(impulse_train(100, 10))
+    peaks = detect_peaks(spec, threshold_fraction=0.5)
+    amps = spec.amplitudes[peaks].tolist()
     assert amps == sorted(amps, reverse=True)
-    top_ties = [p.bin_index for p in peaks if p.amplitude == amps[0]]
+    top_ties = [l for l, a in zip(peaks.tolist(), amps) if a == amps[0]]
     assert top_ties == sorted(top_ties)
 
 
@@ -187,11 +201,9 @@ def test_peaks_superposed_trains_recover_both_gaps():
     # cross-check the amplitude profile against the brute-force oracle
     brute = np.abs(np.array(dft_brute(list(values))))
     assert np.max(np.abs(spec.amplitudes - brute)) < 1e-9
-    peaks = detect_peaks(spec, threshold_fraction=0.4)
-    df = spec.freq_step
+    found = spec.frequencies[detect_peaks(spec, threshold_fraction=0.4)]
     for gap in (d1, d2):
-        hit = min(abs(p.frequency - 1.0 / gap) for p in peaks)
-        assert hit <= df + 1e-12
+        assert np.min(np.abs(found - 1.0 / gap)) <= spec.freq_step + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +222,7 @@ def test_peaks_of_the_zeros_spectrum_sit_at_prime_powers(zeros_to_3000,
     # 535.5 fill the half-spectrum at delta = 0.5 and a whole period at 1.
     events = EventSequence(zeros_to_3000[zeros_to_3000 <= t_max])
     spec = dft(build_series(events, GridSpec.for_events(events, delta)))
-    peaks = detect_peaks(spec)
+    found = spec.frequencies[detect_peaks(spec)]
     powers = np.array(prime_powers(535))
     lines = np.log(powers) / (2 * np.pi)
 
@@ -218,39 +230,65 @@ def test_peaks_of_the_zeros_spectrum_sit_at_prime_powers(zeros_to_3000,
         d = (nu - np.concatenate([lines, -lines])) % (1.0 / delta)
         return np.min(np.minimum(d, 1.0 / delta - d)) / spec.freq_step
 
-    assert len(peaks) >= 10
-    assert max(bins_off(p.frequency, lines) for p in peaks) <= 1.0
+    assert found.size >= 10
+    assert max(bins_off(nu, lines) for nu in found) <= 1.0
     # the strongest lines have the largest Lambda(x)/sqrt(x), so they name
     # prime powers up to e^pi = 23.1, whose lines cover few bins
-    assert max(bins_off(p.frequency, lines[powers <= 23])
-               for p in peaks[:5]) <= 1.0
+    assert max(bins_off(nu, lines[powers <= 23]) for nu in found[:5]) <= 1.0
+
+
+def test_landau_sum_over_the_zeros_separates_prime_powers(zeros_to_3000):
+    # Landau (1911): sum_{0 < gamma <= T} x^(-i gamma) is
+    # -(T/2pi) Lambda(x)/sqrt(x) + O(log T), with Lambda(p^k) = log p and 0
+    # at every other x. At T = 3000 the main terms for x <= 59 are at least
+    # 58.5 and the residuals at most 9.1, so a bound of half the smallest
+    # main term tells the prime powers from the rest.
+    t = 3000.0
+    x = np.arange(2, 60)
+    sums = np.exp(-1j * np.outer(np.log(x), zeros_to_3000)).sum(axis=1)
+    powers = prime_powers(59)
+    primes = trial_division_primes(59)
+    mangoldt = np.array([math.log(next(p for p in primes if n % p == 0))
+                         if n in powers else 0.0 for n in x.tolist()])
+    main = -(t / (2 * np.pi)) * mangoldt / np.sqrt(x)
+    half = np.min(np.abs(main[mangoldt > 0])) / 2
+    assert np.max(np.abs(sums - main)) < half
+    assert x[np.abs(sums) > half].tolist() == powers
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------
 
+def terms(spec, bins):
+    """The inverse-transform terms of the given bins, summed one by one."""
+    n = spec.nbins
+    k = np.arange(n)
+    return sum((spec.bins[l] * np.exp(2j * np.pi * l * k / n)).real / n
+               for l in bins)
+
+
 def test_reconstruct_full_recovers_series(zeros100_series):
-    result = reconstruct(dft(zeros100_series), "all", original=zeros100_series.values)
-    assert result.max_abs_error < 1e-9
-    assert result.terms_used == 100
+    recon = reconstruct(dft(zeros100_series), "all")
+    assert recon.shape == (100,)
+    assert np.max(np.abs(recon - zeros100_series.values)) < 1e-9
 
 
 def test_reconstruct_dc_only_constant():
     series = random_indicator(50, np.random.default_rng(8))
-    m = series.mark_count
-    result = reconstruct(dft(series), 1, original=series.values)
-    assert np.allclose(result.values, m / 50.0, atol=1e-12)
-    assert result.bin_indices.tolist() == [0]
+    spec = dft(series)
+    recon = reconstruct(spec, 1)
+    assert np.allclose(recon, series.mark_count / 50.0, atol=1e-12)
+    assert np.max(np.abs(recon - terms(spec, [0]))) < 1e-12
 
 
 def test_reconstruct_periodic_train_needs_only_support_bins():
     series = impulse_train(100, 10)
     spec = dft(series)
     # spectrum lives on bins {0, 10, ..., 90}; ten terms recover it exactly
-    result = reconstruct(spec, 10, original=series.values)
-    assert result.max_abs_error < 1e-9
-    assert set(result.bin_indices) == set(range(0, 100, 10))
+    recon = reconstruct(spec, 10)
+    assert np.max(np.abs(recon - series.values)) < 1e-9
+    assert np.max(np.abs(recon - terms(spec, range(0, 100, 10)))) < 1e-12
 
 
 def test_reconstruct_residual_monotone_in_k():
@@ -258,47 +296,50 @@ def test_reconstruct_residual_monotone_in_k():
     spec = dft(series)
     last = math.inf
     for k in range(1, 65):
-        rms = reconstruct(spec, k, original=series.values).rms_error
+        rms = np.sqrt(np.mean((reconstruct(spec, k) - series.values) ** 2))
         assert rms <= last + 1e-12
         last = rms
     assert last < 1e-9
 
 
-def test_reconstruct_partial_sum_matches_term_by_term():
-    series = random_indicator(48, np.random.default_rng(12))
-    spec = dft(series)
+def expected_bins(spec, k):
+    """The k strongest bins, ties to the lower index, plus their partners."""
     n = spec.nbins
-    kk = np.arange(n)
-    amp = spec.amplitudes
+    top = np.lexsort((np.arange(n), -spec.amplitudes))[:k].tolist()
+    return sorted(set(top) | {(n - l) % n for l in top})
+
+
+def test_reconstruct_partial_sum_matches_term_by_term():
+    spec = dft(random_indicator(48, np.random.default_rng(12)))
     for k in (1, 3, 7, 20):
-        result = reconstruct(spec, k)
-        # the k strongest bins, ties to the lower index, plus their partners
-        top = sorted(range(n), key=lambda l: (-amp[l], l))[:k]
-        assert set(result.bin_indices.tolist()) == (
-            set(top) | {(n - l) % n for l in top})
-        terms = sum((spec.bins[l] * np.exp(2j * np.pi * l * kk / n)).real / n
-                    for l in result.bin_indices)
-        assert np.max(np.abs(result.values - terms)) < 1e-12
+        chosen = expected_bins(spec, k)
+        assert len(chosen) < spec.nbins
+        diff = reconstruct(spec, k) - terms(spec, chosen)
+        assert np.max(np.abs(diff)) < 1e-12
 
 
 def test_reconstruct_breaks_ties_at_the_kth_amplitude_by_index():
-    # an impulse train's spectrum: one amplitude on the support bins and
-    # zero elsewhere, so for most k the k-th amplitude is tied; the choice
-    # is the full ranking's, amplitude descending and then bin index
+    # spectra with tied amplitudes, so that for most k the k-th amplitude is
+    # tied; the choice is the full ranking's, amplitude descending and then
+    # bin index. On an impulse train's spectrum the ties among zero bins
+    # change no sum; unit bins of four phases tie at every k, each bin
+    # adding a term of its own
     n = 24
     exact = Spectrum(bins=np.where(np.arange(n) % 6 == 0, 6.0, 0.0) + 0j,
                      source_grid=GridSpec(1.0, n))
-    for spec in (exact, dft(impulse_train(n, 4))):
+    units = Spectrum(bins=np.array([1, 1j, -1, -1j])[
+        np.random.default_rng(n).integers(0, 4, n)],
+        source_grid=GridSpec(1.0, n))
+    assert np.all(units.amplitudes == 1.0)
+    for spec in (exact, dft(impulse_train(n, 4)), units):
         for k in range(1, n):
-            top = np.lexsort((np.arange(n), -spec.amplitudes))[:k].tolist()
-            assert set(reconstruct(spec, k).bin_indices.tolist()) == (
-                set(top) | {(n - l) % n for l in top})
+            diff = reconstruct(spec, k) - terms(spec, expected_bins(spec, k))
+            assert np.max(np.abs(diff)) < 1e-12
 
 
 def test_reconstruct_matches_inverse_transform(zeros100_series):
     spec = dft(zeros100_series)
-    result = reconstruct(spec, "all")
-    assert np.max(np.abs(result.values - idft(spec))) < 1e-9
+    assert np.max(np.abs(reconstruct(spec, "all") - idft(spec))) < 1e-9
 
 
 def test_reconstruct_all_bins_is_the_plain_inverse_fft(zeros100_series):
@@ -306,10 +347,7 @@ def test_reconstruct_all_bins_is_the_plain_inverse_fft(zeros100_series):
     spec = dft(zeros100_series)
     plain = np.fft.ifft(spec.bins).real
     for k in ("all", spec.nbins):
-        result = reconstruct(spec, k)
-        assert result.terms_used == spec.nbins
-        assert np.array_equal(result.values, plain)
-        assert np.array_equal(result.bin_indices, np.arange(spec.nbins))
+        assert np.array_equal(reconstruct(spec, k), plain)
 
 
 def test_reconstruct_k_validation(zeros100_series):

@@ -209,6 +209,46 @@ def test_bad_input_exits_2_before_any_output(args, tmp_path):
     assert not out.exists()
 
 
+class SeriesBuilt(Exception):
+    pass
+
+
+def _no_series(*args, **kwargs):
+    raise SeriesBuilt
+
+
+@pytest.mark.parametrize("args, option", [
+    (("--delta", "1e-300"), "--delta"),
+    (("--source", "primes", "--limit", "10", "--delta", "1e-300"), "--delta"),
+    (("--source", "primes", "--limit", "10", "--length", "3037000500"),
+     "length"),
+    (("--source", "synthetic", "--gap", "1", "--length", "3037000500"),
+     "length"),
+], ids=["delta", "primes-delta", "primes-length", "synthetic-length"])
+def test_a_grid_too_long_is_refused_before_any_allocation(args, option,
+                                                         tmp_path,
+                                                         monkeypatch, capsys):
+    # more than isqrt(2^63 - 1) samples: the literal sum's phases would
+    # leave int64. The refusal names the grid's option, not the --z values,
+    # and comes before the series or a synthetic train (GBs here) is built.
+    monkeypatch.setattr(cli, "build_series", _no_series)
+    monkeypatch.setattr(cli, "synthetic_train", _no_series)
+    out = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("usage error: ") and option in err
+    assert "3037000499" in err and "z values" not in err
+    assert not out.exists()
+
+
+def test_the_longest_grid_passes_to_the_series(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_series", _no_series)
+    with pytest.raises(SeriesBuilt):
+        main(["run", "--source", "primes", "--limit", "10", "--length",
+              "3037000499", "--out", str(tmp_path / "out")])
+
+
 def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
     # a height where the scan cannot separate a close pair (a run to
     # t = 30000 meets one near 24000, too slow to run here)

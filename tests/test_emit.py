@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import GridSpec, MangoldtSeries, Spectrum, emit
-from zetaspectra.analysis import PeakReport, ReconstructionResult
 from zetaspectra.spectral import amplitude_phase
 
 
@@ -130,10 +129,7 @@ def test_series_and_recon_csv(rng, grid, tmp_path):
         "index,location,value\n"
         + by_row("%d,%.15g,%.15g\n", index, grid.locations(), series.values))
     rec = spread(rng, ROWS)
-    result = ReconstructionResult(terms_used=ROWS, bin_indices=index,
-                                  values=rec, max_abs_error=0.0, rms_error=0.0)
-    assert written(emit.write_recon_csv, tmp_path / "r.csv", series,
-                   result) == (
+    assert written(emit.write_recon_csv, tmp_path / "r.csv", series, rec) == (
         "n,original,reconstructed,abs_error\n"
         + by_row("%d,%.15g,%.15g,%.15g\n", index, series.values, rec,
                  np.abs(rec - series.values)))
@@ -165,18 +161,20 @@ def test_ratios_csv_keeps_the_empty_last_ratio(rng, tmp_path):
     assert text.splitlines()[-1].split(",")[1] == ""
 
 
-def test_peaks_and_pnt_csv(rng, tmp_path):
-    peaks = [PeakReport(int(i), float(f), float(a), float(g)) for i, f, a, g
-             in zip(rng.integers(0, 10 ** 6, 50), spread(rng, 50),
-                    spread(rng, 50), spread(rng, 50))]
-    assert written(emit.write_peaks_csv, tmp_path / "peaks.csv", peaks) == (
+def test_peaks_and_pnt_csv(rng, spectrum, tmp_path):
+    # peak bins in the order given, each row read from the spectrum's columns
+    peaks = rng.permutation(np.arange(1, ROWS))[:50]
+    f, amp = spectrum.frequencies, spectrum.amplitudes
+    assert written(emit.write_peaks_csv, tmp_path / "peaks.csv", spectrum,
+                   peaks) == (
         "l,f,amplitude,implied_gap\n"
-        + "".join("%d,%.15g,%.15g,%.15g\n" % (p.bin_index, p.frequency,
-                                              p.amplitude, p.implied_gap)
-                  for p in peaks))
-    assert written(emit.write_peaks_csv, tmp_path / "none.csv", []) == (
-        "l,f,amplitude,implied_gap\n")
+        + "".join("%d,%.15g,%.15g,%.15g\n" % (l, f[l], amp[l], 1.0 / f[l])
+                  for l in peaks.tolist()))
+    assert written(emit.write_peaks_csv, tmp_path / "none.csv", spectrum,
+                   np.empty(0, dtype=np.intp)) == "l,f,amplitude,implied_gap\n"
     checkpoints = [(100, 25, 1.151292546497023), (10 ** 6, 78498, 1.0844899)]
-    assert written(emit.write_pnt_csv, tmp_path / "pnt.csv", checkpoints) == (
+    x, count, ratio = (np.array(c) for c in zip(*checkpoints))
+    assert written(emit.write_pnt_csv, tmp_path / "pnt.csv", x, count,
+                   ratio) == (
         "x,prime_count,ratio\n"
         + "".join("%d,%d,%.15g\n" % row for row in checkpoints))

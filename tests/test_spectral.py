@@ -84,15 +84,41 @@ def _requested(kind, n, rng):
     return np.array([n // 3])  # a single bin
 
 
-# N = 101 is prime and N = 100 composite; neither is a multiple of the
-# block size 8 that both get, so the last block runs past N - 1.
+# Dense requests fill every block they touch and sparse ones leave most of
+# each block unread; both take the same blocked sum. N = 101 is prime and
+# N = 100 composite; neither is a multiple of the block size 8 that both
+# get, so the last block runs past N - 1.
 @pytest.mark.parametrize("n", [101, 100])
-@pytest.mark.parametrize("kind, blocked", [
+@pytest.mark.parametrize("kind, dense", [
     ("all", True), ("unsorted-with-duplicates", True),
     ("every-tenth", False), ("single", False)])
-def test_direct_bins_in_both_block_regimes(n, kind, blocked, monkeypatch):
+def test_direct_bins_in_both_block_regimes(n, kind, dense):
     rng = np.random.default_rng(n)
     indices = _requested(kind, n, rng)
+    assert np.array_equal(np.unique(indices), np.arange(n)) == dense
+    weighted = rng.normal(scale=3.0, size=n) * (rng.random(n) < 0.4)
+    assert weighted.min() < 0.0 < weighted.max()
+    for values in (weighted, np.zeros(n)):
+        got = direct_bins(values, indices)
+        assert np.max(np.abs(got - np.fft.fft(values)[indices])) < 1e-9
+        brute = np.array(dft_brute(list(values)))
+        assert np.max(np.abs(got - brute[indices])) < 1e-9
+        for shifted in (indices + 7 * n, indices - 2 * n,
+                        (indices + 10 ** 9 * n).astype(float)):
+            assert np.array_equal(direct_bins(values, shifted), got)
+
+
+# The CLI's periodicity check asks for its bins and their shifts by 1, 2 and
+# 3 N in one request; every shift reduces onto the base bins. The block size
+# depends on N and the mark count alone, and exceeds 1 at each request.
+@pytest.mark.parametrize("n, marks, count, blocked", [
+    (3001, 2205, 3001, True),  # run --t-max 3000
+    (9974, 1229, 6825, True),  # --source primes --limit 1e4
+    (99992, 9592, 874, True),  # --limit 1e5
+    (999984, 78498, 106, True),  # --limit 1e6
+])
+def test_block_size_at_the_cli_requests(n, marks, count, blocked,
+                                        monkeypatch):
     sizes = []
 
     def spy(*args):
@@ -100,35 +126,13 @@ def test_direct_bins_in_both_block_regimes(n, kind, blocked, monkeypatch):
         return sizes[-1]
 
     monkeypatch.setattr(spectral, "_bin_block", spy)
-    weighted = rng.normal(scale=3.0, size=n) * (rng.random(n) < 0.4)
-    assert weighted.min() < 0.0 < weighted.max()
-    for values in (weighted, np.zeros(n)):
-        got = direct_bins(values, indices)
-        assert (sizes[-1] > 1) == blocked, sizes
-        assert n % sizes[-1] or not blocked
-        assert np.max(np.abs(got - np.fft.fft(values)[indices])) < 1e-9
-        brute = np.array(dft_brute(list(values)))
-        assert np.max(np.abs(got - brute[indices])) < 1e-9
-        for shifted in (indices + 7 * n, indices - 2 * n,
-                        (indices + 10 ** 9 * n).astype(float)):
-            assert np.array_equal(direct_bins(values, shifted), got)
-            assert (sizes[-1] > 1) == blocked, sizes
-
-
-# The CLI's periodicity check asks for its bins and their shifts by 1, 2 and
-# 3 N in one request; every shift reduces onto the base bins, so four indices
-# share each block and the sparse requests at 1e5 and 1e6 are blocked too
-# (B = 64 and 8).
-@pytest.mark.parametrize("n, marks, count, blocked", [
-    (3001, 2205, 3001, True),  # run --t-max 3000
-    (9974, 1229, 6825, True),  # --source primes --limit 1e4
-    (99992, 9592, 874, True),  # --limit 1e5
-    (999984, 78498, 106, True),  # --limit 1e6
-])
-def test_block_size_at_the_cli_requests(n, marks, count, blocked):
+    values = np.zeros(n)
+    values[np.linspace(0, n - 1, marks).astype(int)] = 1.0
     bins = np.unique(np.linspace(0, n - 1, count).astype(int))
     request = np.concatenate([bins + z * n for z in range(4)])
-    b = _bin_block(request % n, n, marks)
+    sums = direct_bins(values, request).reshape(4, -1)
+    assert np.all(sums[1:] == sums[0])
+    (b,) = sizes
     assert (b > 1) == blocked
     assert b & (b - 1) == 0 and b * marks <= 2 ** 20
 
@@ -187,8 +191,10 @@ def test_parseval(zeros100_series):
     spec = dft(zeros100_series)
     report = parseval_check(zeros100_series, spec)
     assert report.passed
-    assert report.time_energy == float(zeros100_series.mark_count)
     assert report.rel_error < 1e-9
+    # the spectral energy (1/N) sum |X_l|^2 is the mark count
+    assert np.sum(spec.amplitudes ** 2) / spec.nbins == pytest.approx(
+        zeros100_series.mark_count, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
