@@ -34,9 +34,6 @@ from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft, idft,
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
 PNT_CHECKPOINTS = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
-# periodicity budget in bin-by-bin lookups (bins x marks x shifts, the base
-# bins one shift), past which bins are skipped; dense requests cost far less
-PERIODICITY_TERM_BUDGET = 2 ** 25
 
 
 class ConfigError(ValueError):
@@ -139,19 +136,11 @@ def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
 
 def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
     n = series.grid.length
-    per_bin = max(1, series.mark_count * (1 + len(config.z_values)))
-    count = min(n, max(1, PERIODICITY_TERM_BUDGET // per_bin))
-    if count == n:
-        bins = None
-    else:
-        bins = np.unique(np.linspace(0, n - 1, count).astype(int))
-        _log(f"periodicity check restricted to {bins.size} of {n} bins")
-    checks = []
-    for report in periodicity_check(series, list(config.z_values),
-                                    tol=config.tol, bins=bins):
-        checks.append({"name": f"periodicity_z{report.z}",
-                       "pass": report.passed,
-                       "max_error": report.max_abs_diff})
+    reports = periodicity_check(series, list(config.z_values), tol=config.tol)
+    if reports and reports[0].bins < n:
+        _log(f"periodicity check restricted to {reports[0].bins} of {n} bins")
+    checks = [{"name": f"periodicity_z{r.z}", "pass": r.passed,
+               "max_error": r.max_abs_diff} for r in reports]
     sym = conjugate_symmetry_check(spectrum, tol=config.tol)
     checks.append({"name": "conjugate_symmetry", "pass": sym.passed,
                    "max_error": sym.max_asymmetry})

@@ -194,7 +194,8 @@ def _rows(*columns: np.ndarray | None) -> Iterator[bytes]:
     floats = []
     for c in columns:
         if c is not None and c.dtype.kind in "iu":
-            assert not c.size or np.abs(c).max() < 1e15, "'%.15g' != '%d'"
+            if c.size and not -10 ** 15 < c.min() <= c.max() < 10 ** 15:
+                raise ValueError("integer cells past 1e15: '%.15g' != '%d'")
             c = c.astype(np.float64)
         floats.append(c)
     for start in range(0, size, CHUNK_ROWS):

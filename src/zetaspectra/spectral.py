@@ -8,12 +8,12 @@ so the exponent reduces to -i 2 pi l k / N and the frequency axis is in cycles
 per location unit. The inverse carries the +i sign and the 1/N factor. The
 fast path delegates to the FFT; ``dft_direct`` keeps the literal sum as the
 reference route, and ``periodicity_check`` evaluates that sum at shifted
-integer arguments where the FFT cannot. The literal sum is exact in its
-phases (reduced in int64, N^2 < 2^63, then read from one table of
-exp(-2 pi i j / N)) and sums the requested bins in blocks of about sqrt(N)
-bins that share one table of rotations (see ``direct_bins``). Per-bin
-quantities (``Spectrum.frequencies``, ``Spectrum.amplitudes``, the amplitude
-and phase from ``amplitude_phase``) are numpy columns indexed by bin.
+integer arguments where the FFT cannot, on every bin while N times the mark
+count is at most PERIODICITY_TERMS, else on the last bins up to N - 1. The
+literal sum is exact in its phases (reduced in int64, N^2 < 2^63, then read
+from one table of exp(-2 pi i j / N)) and sums the requested bins in blocks
+of about sqrt(N) bins that share one table of rotations (see
+``direct_bins``). Per-bin quantities are numpy columns indexed by bin.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ __all__ = [
 
 # isqrt(2^63 - 1): the literal sum reduces each phase (m mod N) k in int64
 MAX_LENGTH = 3_037_000_499
+# periodicity_check reads at most this many bin x mark terms
+PERIODICITY_TERMS = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ class PeriodicityReport:
     max_abs_diff: float
     tol: float
     passed: bool
+    bins: int  # how many base bins were compared, the last ones up to N - 1
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,7 @@ def _check_tol(tol: float) -> None:
 
 
 def periodicity_check(series: MangoldtSeries, z_values: list[int],
-                      tol: float = 1e-9,
-                      bins: np.ndarray | None = None) -> list[PeriodicityReport]:
+                      tol: float = 1e-9) -> list[PeriodicityReport]:
     """Compare the literal sum at bin indices l + z*N against the base bins.
 
     The shift multiplies each term by exp(-i 2 pi z k) = 1 for integer z.
@@ -206,13 +208,14 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     work, so the check is exact by construction: the difference is 0.0
     unless that index reduction is wrong, which is all it guards; it does
     not exercise the float arithmetic of the sum. Non-integer z raises
-    ValueError: the identity does not hold there. ``bins`` restricts the
-    checked integer indices; default is all. Bins outside 0..N-1 are taken
-    modulo N first, which leaves X unchanged and keeps l + z*N inside int64.
+    ValueError: the identity does not hold there. Every bin is checked when
+    N times the mark count (taken as at least 1) is at most
+    PERIODICITY_TERMS; otherwise the last PERIODICITY_TERMS // marks bins,
+    at least one, which end at N - 1, where l + z*N is largest. Each report
+    gives that count as ``bins``.
     """
     _check_tol(tol)
     n = series.grid.length
-    base_idx = np.arange(n) if bins is None else _integers(bins, "bins") % n
     zs = _integers(z_values, "shift multiples")
     for z in zs.tolist():
         if z < 1:
@@ -221,13 +224,15 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
             raise ValueError(f"shift z*N overflows int64, got z = {z}")
     if not zs.size:
         return []
-    # one sum over the base bins and every shift: the shifted indices reduce
-    # to the base blocks, which direct_bins sums once
+    count = min(n, max(1, PERIODICITY_TERMS // max(series.mark_count, 1)))
+    # the base bins and every shift in one sum: shifts reduce to base blocks
     shifts = np.concatenate([[0], zs]) * n
-    sums = direct_bins(series.values, (shifts[:, None] + base_idx).ravel())
+    sums = direct_bins(series.values,
+                       (shifts[:, None] + np.arange(n - count, n)).ravel())
     sums = sums.reshape(shifts.size, -1)
     diffs = np.max(np.abs(sums[1:] - sums[0]), axis=1, initial=0.0)
-    return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, passed=d < tol)
+    return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, passed=d < tol,
+                              bins=count)
             for z, d in zip(zs.tolist(), diffs.tolist())]
 
 

@@ -211,7 +211,7 @@ def zeros_to_3000():
     return find_zeros(0.0, 3000.0).events
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
 @pytest.mark.parametrize("t_max", [1e3, 3e3])
 def test_peaks_of_the_zeros_spectrum_sit_at_prime_powers(zeros_to_3000,
                                                          t_max, delta):
@@ -219,22 +219,36 @@ def test_peaks_of_the_zeros_spectrum_sit_at_prime_powers(zeros_to_3000,
     # -(T/2pi) Lambda(x)/sqrt(x) + O(log T), so the spectrum of the zeros
     # has a line at nu = log(x)/2pi for each prime power x, and the grid
     # folds every frequency modulo 1/delta. The lines of x <= e^(2 pi) =
-    # 535.5 fill the half-spectrum at delta = 0.5 and a whole period at 1.
+    # 535.5 fill |nu| <= 1: the half-spectrum at delta = 0.5 and a whole
+    # period at 1. At delta = 0.25 the half-spectrum reaches |nu| = 2, where
+    # the lines of x up to e^(4 pi) = 286 751 lie closer than a bin: 99% of
+    # 1 <= nu <= 2 is within one bin of one at T = 1e3 (N = 4001), 89% at
+    # T = 3e3 (N = 11 999), so a peak there would pass wherever it sat, and
+    # only the peaks with |nu| <= 1 are checked. Four of the 38 peaks at
+    # T = 1e3 lie beyond (bins 1159, 1261, 1675 and 1677, 160 to 679 bins
+    # from every line of x <= 535), each within 0.11 bins of the line of a
+    # prime power between 1451 and 37 579.
     events = EventSequence(zeros_to_3000[zeros_to_3000 <= t_max])
     spec = dft(build_series(events, GridSpec.for_events(events, delta)))
     found = spec.frequencies[detect_peaks(spec)]
+    period = 1.0 / delta
+    inner = found[np.abs((found + period / 2) % period - period / 2) <= 1.0]
     powers = np.array(prime_powers(535))
     lines = np.log(powers) / (2 * np.pi)
 
     def bins_off(nu, lines):
-        d = (nu - np.concatenate([lines, -lines])) % (1.0 / delta)
-        return np.min(np.minimum(d, 1.0 / delta - d)) / spec.freq_step
+        d = (nu - np.concatenate([lines, -lines])) % period
+        return np.min(np.minimum(d, period - d)) / spec.freq_step
 
-    assert found.size >= 10
-    assert max(bins_off(nu, lines) for nu in found) <= 1.0
+    assert inner.size >= 10
+    assert max(bins_off(nu, lines) for nu in inner) <= 1.0
     # the strongest lines have the largest Lambda(x)/sqrt(x), so they name
-    # prime powers up to e^pi = 23.1, whose lines cover few bins
-    assert max(bins_off(nu, lines[powers <= 23]) for nu in found[:5]) <= 1.0
+    # prime powers up to e^pi = 23.1, whose lines cover few bins; at
+    # delta = 0.25 and T = 3e3 the fourth strongest is the line of 41, 276
+    # bins from every line of x <= 23, so this holds at delta >= 0.5 only
+    if delta >= 0.5:
+        assert max(bins_off(nu, lines[powers <= 23])
+                   for nu in found[:5]) <= 1.0
 
 
 def test_landau_sum_over_the_zeros_separates_prime_powers(zeros_to_3000):

@@ -135,10 +135,14 @@ def test_prime_source(tmp_path):
     assert marked == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+# all bins while N x marks <= 2^25, else the last 2^25 // marks: 9974 x 1229
+# marks fit, 99992 x 9592 do not, and 2^25 // 9592 = 3498
 @pytest.mark.parametrize("args, restricted", [
-    (("--limit", "10000"), "periodicity check restricted to 6825 of 9974 bins"),
+    (("--limit", "10000"), None),
+    (("--limit", "100000"),
+     "periodicity check restricted to 3498 of 99992 bins"),
     (("--limit", "1000", "--z", "1,100"), None),
-], ids=["primes-1e4", "primes-1e3-z100"])
+], ids=["primes-1e4", "primes-1e5", "primes-1e3-z100"])
 def test_periodicity_exact_on_prime_runs(args, restricted, tmp_path):
     # a float phase 2 pi (l + zN) k / N put these checks above 1e-9
     out = tmp_path / "out"

@@ -110,15 +110,15 @@ def test_direct_bins_in_both_block_regimes(n, kind, dense):
 
 # The CLI's periodicity check asks for its bins and their shifts by 1, 2 and
 # 3 N in one request; every shift reduces onto the base bins. The block size
-# depends on N and the mark count alone, and exceeds 1 at each request.
-@pytest.mark.parametrize("n, marks, count, blocked", [
-    (3001, 2205, 3001, True),  # run --t-max 3000
-    (9974, 1229, 6825, True),  # --source primes --limit 1e4
-    (99992, 9592, 874, True),  # --limit 1e5
-    (999984, 78498, 106, True),  # --limit 1e6
+# depends on N and the mark count alone, and exceeds 1 at each request: all
+# bins while N x marks <= 2^25, else the last 2^25 // marks of them.
+@pytest.mark.parametrize("n, marks, count", [
+    (3001, 2205, 3001),  # run --t-max 3000
+    (9974, 1229, 9974),  # --source primes --limit 1e4
+    (99992, 9592, 3498),  # --limit 1e5
+    (999984, 78498, 427),  # --limit 1e6
 ])
-def test_block_size_at_the_cli_requests(n, marks, count, blocked,
-                                        monkeypatch):
+def test_block_size_at_the_cli_requests(n, marks, count, monkeypatch):
     sizes = []
 
     def spy(*args):
@@ -128,13 +128,22 @@ def test_block_size_at_the_cli_requests(n, marks, count, blocked,
     monkeypatch.setattr(spectral, "_bin_block", spy)
     values = np.zeros(n)
     values[np.linspace(0, n - 1, marks).astype(int)] = 1.0
-    bins = np.unique(np.linspace(0, n - 1, count).astype(int))
-    request = np.concatenate([bins + z * n for z in range(4)])
-    sums = direct_bins(values, request).reshape(4, -1)
-    assert np.all(sums[1:] == sums[0])
+    reports = periodicity_check(series_from_values(values), [1, 2, 3])
+    assert [r.bins for r in reports] == [count] * 3
+    assert [r.max_abs_diff for r in reports] == [0.0] * 3  # bit for bit
     (b,) = sizes
-    assert (b > 1) == blocked
+    assert b > 1
     assert b & (b - 1) == 0 and b * marks <= 2 ** 20
+
+
+def test_direct_bins_reduces_indices_up_to_the_int64_edge():
+    # indices beyond 0..N-1, up to the int64 limit, where l + z*N would wrap
+    values = random_indicator(101, np.random.default_rng(52)).values
+    far = np.array([np.iinfo(np.int64).max - 1, -7, 250])
+    got = direct_bins(values, far)
+    assert np.array_equal(got, direct_bins(values, far % 101))
+    assert np.max(np.abs(got - np.fft.fft(values)[far % 101])) < 1e-9
+    assert direct_bins(values, []).size == 0  # no bins at all
 
 
 @pytest.mark.parametrize("indices", [[0.5], [1, 2.25], [np.nan], [2.0 ** 64]])
@@ -319,8 +328,6 @@ def test_periodicity_rejects_bad_args():
         periodicity_check(series, [2.5])
     with pytest.raises(ValueError):
         periodicity_check(series, [1, 3.001])
-    with pytest.raises(ValueError):
-        periodicity_check(series, [1], bins=np.array([0.5]))
     with pytest.raises(ValueError):  # z * N beyond int64
         periodicity_check(series, [2 ** 62])
 
@@ -350,18 +357,29 @@ def test_periodicity_sums_base_and_shifts_in_one_call(monkeypatch):
     assert np.array_equal(indices, np.arange(4 * 64))
 
 
-def test_periodicity_bin_subset():
+# 128 samples under a bound of m x marks terms: the last floor(m) bins, and
+# at least one
+@pytest.mark.parametrize("m, count", [(128, 128), (127.5, 127), (40, 40),
+                                      (0.5, 1)])
+def test_periodicity_restricted_to_the_last_bins(m, count, monkeypatch):
     series = random_indicator(128, np.random.default_rng(51))
-    (report,) = periodicity_check(series, [2], bins=np.array([0, 5, 63, 127]))
-    assert report.passed
-    # bins beyond 0..N-1, up to the int64 limit, where l + z*N would wrap
-    series = random_indicator(101, np.random.default_rng(52))
-    far = np.array([np.iinfo(np.int64).max - 1, -7, 250])
-    (report,) = periodicity_check(series, [3], bins=far)
-    assert report.passed and report.max_abs_diff == 0.0
-    # no bins at all: nothing differs
-    (report,) = periodicity_check(series, [1], bins=[])
-    assert report.passed and report.max_abs_diff == 0.0
+    monkeypatch.setattr(spectral, "PERIODICITY_TERMS",
+                        int(m * series.mark_count))
+    calls = []
+    exact = spectral.direct_bins
+
+    def spy(values, indices):
+        calls.append(np.array(indices))
+        return exact(values, indices)
+
+    monkeypatch.setattr(spectral, "direct_bins", spy)
+    reports = periodicity_check(series, [1, 2, 3])
+    assert [r.bins for r in reports] == [count] * 3
+    assert [r.max_abs_diff for r in reports] == [0.0, 0.0, 0.0]
+    (indices,) = calls
+    last = np.arange(128 - count, 128)
+    assert np.array_equal(indices,
+                          np.concatenate([last + z * 128 for z in range(4)]))
 
 
 # ---------------------------------------------------------------------------
