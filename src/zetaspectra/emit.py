@@ -7,7 +7,10 @@ separator); integer columns print as "%d", which "%.15g" equals below
 1e15. Lines end in LF, so repeated runs with one configuration are
 byte-identical and diffable.
 
-The cells are produced column-wise, without Python's '%' per row. The 15
+The cells are produced column-wise, without Python's '%' per row. A chunk
+of whole numbers below 10^15 in magnitude, where "%.15g" prints "%d",
+takes its digits straight from a table of four-digit groups, right-aligned
+behind a sign slot, leading zeros blank. In every other chunk the 15
 significant digits D = round(|x| 10^(14-X)) come from Dekker's exact
 product (Numer. Math. 18, 1971) of x with a double-double 10^(14-X); X
 starts at floor(log10|x|) and is corrected where the scaled value falls
@@ -45,7 +48,9 @@ __all__ = [
     "write_manifest",
 ]
 
-CHUNK_ROWS = 4096
+# rows per chunk: fewer chunks make fewer numpy calls per column, while a
+# chunk's byte matrix (about 1 MB for a spectrum.csv chunk) stays in cache
+CHUNK_ROWS = 8192
 # cells with |x| outside [_TINY, _HUGE] are formatted by '%'; X stays within
 # [-291, 291] for the others, so 10^k is tabled for k = 14 - X
 _TINY, _HUGE = 1e-290, 1e290
@@ -102,12 +107,16 @@ def _layout() -> np.ndarray:
 @cache
 def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_pow10(), _layout(), and the four ASCII digits of each of 0..9999 as
-    a little-endian uint32, first digit in the low byte; built on first use
-    (about 1 ms), so importing the package does not pay for them."""
+    a little-endian uint32, first digit in the low byte: at 10^4 + n the
+    same with n's leading zeros as byte 0, and 0 at 2 10^4. Built on first
+    use (about 1 ms), so importing the package does not pay for them."""
     code = np.arange(48, 58, dtype=np.uint32)  # ASCII '0'..'9'
     digits4 = (code[:, None, None, None] | code[:, None, None] << 8
-               | code[:, None] << 16 | code << 24)
-    return _pow10(), _layout(), digits4.ravel().astype("<u4")
+               | code[:, None] << 16 | code << 24).ravel().astype("<u4")
+    kept = np.arange(10 ** 4)[:, None] >= [1000, 100, 10, 0]  # not leading 0
+    stripped = (digits4.view(np.uint8).reshape(-1, 4) * kept).view("<u4")
+    return _pow10(), _layout(), np.concatenate(
+        [digits4, stripped.ravel(), np.zeros(1, "<u4")])
 
 
 def _scaled(a: np.ndarray, x_exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +131,38 @@ def _scaled(a: np.ndarray, x_exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, (p - r) + (err + a * lo)
 
 
+def _digits(groups: np.ndarray) -> np.ndarray:
+    """The ASCII digits of _tables()[2][groups] as uint8 rows, four rows
+    per row of groups, first digit first; a column per cell."""
+    chars = _tables()[2][groups.astype(np.intp)].view(np.uint8)
+    return chars.reshape(*groups.shape, 4).transpose(0, 2, 1).reshape(
+        -1, groups.shape[1])
+
+
+def _whole_cells(x: np.ndarray, a: np.ndarray) -> list[np.ndarray]:
+    """_cells for whole numbers x = ±a with a < 10^15, which "%.15g" prints
+    as "%d": a sign slot, then the digits right-aligned, in as many groups
+    of four as the largest a needs. A group that no digit precedes comes
+    from the table's stripped section, or its blank entry when it is 0 too
+    (the last group never is: 0 prints "0")."""
+    scale = _GROUP[_GROUP[:, 0] <= max(a.max(), 1.0)]
+    groups = np.floor(a / scale)
+    groups[1:] -= 1e4 * groups[:-1]
+    groups += 1e4 * (a < 1e4 * scale)
+    groups[:-1] += 1e4 * (a < scale[:-1])
+    cells = np.empty((1 + 4 * scale.size, x.size), np.uint8)
+    np.multiply(np.signbit(x), np.uint8(45), out=cells[_SIGN])
+    cells[1:] = _digits(groups)
+    return [cells[i] for i in np.flatnonzero(cells.max(axis=1))]
+
+
 def _cells(x: np.ndarray) -> list[np.ndarray]:
-    """The "%.15g" bytes of each float64 in x as uint8 rows, one byte slot
+    """The "%.15g" bytes of each number in x as uint8 rows, one byte slot
     of every cell per row, 0 where a cell leaves the slot empty."""
+    x = x.astype(np.float64, copy=False)
     a = np.abs(x)
+    if (np.trunc(a) == a).all() and a.max() < _E15:
+        return _whole_cells(x, a)
     zero = x == 0.0
     ok = (a >= _TINY) & (a <= _HUGE)
     np.putmask(a, ~ok, 1.0)
@@ -158,8 +195,7 @@ def _cells(x: np.ndarray) -> list[np.ndarray]:
     # the digits, from four groups of four (the first has a leading 0)
     groups = np.floor(d / _GROUP)
     groups[1:] -= 1e4 * groups[:-1]
-    chars = _tables()[2][groups.astype(np.intp)].view(np.uint8)
-    chars = chars.reshape(4, size, 4).transpose(0, 2, 1).reshape(16, size)[1:]
+    chars = _digits(groups)[1:]
     last = (_DIGIT * (chars != 48)).max(axis=0)  # last nonzero digit, or 0
 
     # "%g" layout by X: fixed for -4 <= X < 15, else scientific (clipping
@@ -191,18 +227,15 @@ def _rows(*columns: np.ndarray | None) -> Iterator[bytes]:
     """Equal-length columns as CSV lines, one bytes object per chunk; a None
     column is an empty cell in every row."""
     size = len(next(c for c in columns if c is not None))
-    floats = []
     for c in columns:
-        if c is not None and c.dtype.kind in "iu":
-            if c.size and not -10 ** 15 < c.min() <= c.max() < 10 ** 15:
-                raise ValueError("integer cells past 1e15: '%.15g' != '%d'")
-            c = c.astype(np.float64)
-        floats.append(c)
+        if c is not None and c.dtype.kind in "iu" and c.size \
+                and not -10 ** 15 < c.min() <= c.max() < 10 ** 15:
+            raise ValueError("integer cells past 1e15: '%.15g' != '%d'")
     for start in range(0, size, CHUNK_ROWS):
         n = min(CHUNK_ROWS, size - start)
         comma, newline = np.full(n, 44, np.uint8), np.full(n, 10, np.uint8)
         slots = []
-        for c in floats:
+        for c in columns:
             if c is not None:
                 slots += _cells(c[start:start + n])
             slots.append(comma)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import GridSpec, MangoldtSeries, Spectrum, emit
@@ -82,6 +82,57 @@ def test_integer_columns_print_as_percent_d():
             cells(np.array([bad]))
 
 
+WHOLE = 10 ** 15 - 1  # the largest |x| whose "%.15g" is its "%d"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-WHOLE, WHOLE), min_size=1, max_size=64))
+@example([0, WHOLE, -WHOLE])
+def test_whole_number_columns_print_as_percent_d(integers):
+    # whole-valued doubles print as "%.15g", int64 columns as "%d"
+    values = np.array(integers, dtype=float)
+    assert cells(values) == percent(values) == ["%d" % i for i in integers]
+    assert cells(np.array(integers, dtype=np.int64)) == [
+        "%d" % i for i in integers]
+
+
+def test_negative_zero_in_a_whole_number_column():
+    values = [-0.0, 0.0, -1.0, float(WHOLE), -float(WHOLE)]
+    assert cells(values) == percent(values) == [
+        "-0", "0", "-1", "999999999999999", "-999999999999999"]
+
+
+@pytest.mark.parametrize("whole_first", [True, False])
+def test_chunks_mixing_whole_and_fractional_columns(rng, whole_first):
+    # 2 CHUNK_ROWS + 5 whole numbers below 1e15, of 1 to 15 digits; one
+    # non-integer goes into each chunk after the first, or into the first
+    size = 2 * emit.CHUNK_ROWS + 5
+    values = rng.integers(-WHOLE, WHOLE, size).astype(float)
+    shorter = values[::97]  # a view
+    shorter[:] = np.trunc(shorter / 10.0 ** rng.integers(0, 15, shorter.size))
+    starts = range(emit.CHUNK_ROWS, size, emit.CHUNK_ROWS)
+    for start in (starts if whole_first else [0]):
+        values[start + 3] += 0.25
+    assert cells(values) == percent(values)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_file_bytes_do_not_depend_on_the_chunk_size(rng, tmp_path,
+                                                    monkeypatch, chunk_rows):
+    size = 300
+    values = np.trunc(spread(rng, size))  # whole, and beyond 1e15 too
+    values[::40] += 0.5
+    original = np.arange(size) % 3 == 0
+    series = MangoldtSeries(values=original.astype(float),
+                            grid=GridSpec(delta=1.0, length=size))
+    monkeypatch.setattr(emit, "CHUNK_ROWS", chunk_rows)
+    assert written(emit.write_recon_csv, tmp_path / "r.csv", series,
+                   values) == (
+        "n,original,reconstructed,abs_error\n"
+        + by_row("%d,%.15g,%.15g,%.15g\n", np.arange(size), original * 1.0,
+                 values, np.abs(values - original)))
+
+
 # ---------------------------------------------------------------------------
 # Whole files against the per-row '%' rendering they replace
 # ---------------------------------------------------------------------------
@@ -136,6 +187,38 @@ def test_series_and_recon_csv(rng, grid, tmp_path):
         "n,original,reconstructed,abs_error\n"
         + by_row("%d,%.15g,%.15g,%.15g\n", index, series.values, rec,
                  np.abs(rec - series.values)))
+
+
+def test_series_csv_on_a_whole_number_grid(rng, tmp_path):
+    # at delta = 1 every location is a whole number
+    grid = GridSpec(delta=1.0, length=ROWS)
+    series = MangoldtSeries(values=(rng.random(ROWS) < 0.3).astype(float),
+                            grid=grid)
+    assert written(emit.write_series_csv, tmp_path / "s.csv", series) == (
+        "index,location,value\n"
+        + by_row("%d,%d,%d\n", np.arange(ROWS), np.arange(ROWS),
+                 series.values.astype(int)))
+
+
+def test_whole_number_columns_skip_the_scaled_product(rng, tmp_path,
+                                                      monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return scaled(*args)
+
+    scaled = emit._scaled
+    monkeypatch.setattr(emit, "_scaled", spy)
+    series = MangoldtSeries(values=(rng.random(ROWS) < 0.3).astype(float),
+                            grid=GridSpec(delta=1.0, length=ROWS))
+    emit.write_series_csv(tmp_path / "s.csv", series)
+    assert calls == []
+    # the spy sees the fractional locations at delta = 0.37
+    series = MangoldtSeries(values=series.values,
+                            grid=GridSpec(delta=0.37, length=ROWS))
+    emit.write_series_csv(tmp_path / "s.csv", series)
+    assert calls
 
 
 def test_spectrum_and_spiral_csv(rng, spectrum, tmp_path):
