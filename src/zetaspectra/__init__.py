@@ -9,8 +9,7 @@ from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros,
                         riemann_siegel_Z, sieve_primes, synthetic_train)
-from .spectral import (ParsevalReport, PeriodicityReport, Spectrum,
-                       SymmetryReport, amplitude_phase,
+from .spectral import (PeriodicityReport, Spectrum, amplitude_phase,
                        conjugate_symmetry_check, dft, dft_direct, idft,
                        parseval_check, periodicity_check)
 
@@ -23,7 +22,7 @@ __all__ = [
     # grid
     "GridSpec", "MangoldtSeries", "build_series",
     # spectral
-    "Spectrum", "PeriodicityReport", "SymmetryReport", "ParsevalReport",
+    "Spectrum", "PeriodicityReport",
     "dft", "dft_direct", "idft", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis

@@ -14,6 +14,8 @@ literal sum is exact in its phases (reduced in int64, N^2 < 2^63, then read
 from one table of exp(-2 pi i j / N)) and sums the requested bins in blocks
 of about sqrt(N) bins that share one table of rotations (see
 ``direct_bins``). Per-bin quantities are numpy columns indexed by bin.
+``conjugate_symmetry_check`` and ``parseval_check`` return their error as a
+float and leave the verdict to the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .grid import GridSpec, MangoldtSeries
 __all__ = [
     "Spectrum",
     "PeriodicityReport",
-    "SymmetryReport",
-    "ParsevalReport",
     "dft",
     "dft_direct",
     "direct_bins",
@@ -86,20 +86,6 @@ class PeriodicityReport:
     tol: float
     passed: bool
     bins: int  # how many base bins were compared, the last ones up to N - 1
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    max_asymmetry: float
-    tol: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ParsevalReport:
-    rel_error: float
-    tol: float
-    passed: bool
 
 
 def dft(series: MangoldtSeries) -> Spectrum:
@@ -192,13 +178,6 @@ def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, phase
 
 
-def _check_tol(tol: float) -> None:
-    """ValueError unless 0 < tol < inf: a NaN would fail every check and an
-    infinite tolerance pass any."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
 def periodicity_check(series: MangoldtSeries, z_values: list[int],
                       tol: float = 1e-9) -> list[PeriodicityReport]:
     """Compare the literal sum at bin indices l + z*N against the base bins.
@@ -212,9 +191,10 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     N times the mark count (taken as at least 1) is at most
     PERIODICITY_TERMS; otherwise the last PERIODICITY_TERMS // marks bins,
     at least one, which end at N - 1, where l + z*N is largest. Each report
-    gives that count as ``bins``.
+    gives that count as ``bins``. ValueError unless 0 < tol < inf.
     """
-    _check_tol(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = series.grid.length
     zs = _integers(z_values, "shift multiples")
     for z in zs.tolist():
@@ -236,20 +216,16 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
             for z, d in zip(zs.tolist(), diffs.tolist())]
 
 
-def conjugate_symmetry_check(spectrum: Spectrum, tol: float = 1e-9) -> SymmetryReport:
-    """Max over l in 1..N-1 of ||X(l)| - |X(N-l)||; real input makes it ~0."""
-    _check_tol(tol)
+def conjugate_symmetry_check(spectrum: Spectrum) -> float:
+    """Max over l in 1..N-1 of ||X(l)| - |X(N-l)||, as a float; real input
+    makes it ~0."""
     inner = spectrum.amplitudes[1:]
-    asym = float(np.max(np.abs(inner - inner[::-1])))
-    return SymmetryReport(max_asymmetry=asym, tol=tol, passed=asym < tol)
+    return float(np.max(np.abs(inner - inner[::-1])))
 
 
-def parseval_check(series: MangoldtSeries, spectrum: Spectrum,
-                   tol: float = 1e-9) -> ParsevalReport:
-    """sum_k v_k^2 == (1/N) sum_l |X_l|^2, relative; equals the mark count."""
-    _check_tol(tol)
+def parseval_check(series: MangoldtSeries, spectrum: Spectrum) -> float:
+    """Relative error of sum_k v_k^2 == (1/N) sum_l |X_l|^2, as a float;
+    both sides are the mark count, and the scale is at least 1."""
     time_energy = float(np.sum(series.values ** 2))
     spectral_energy = float(np.sum(np.abs(spectrum.bins) ** 2) / spectrum.nbins)
-    scale = max(time_energy, 1.0)
-    rel = abs(time_energy - spectral_energy) / scale
-    return ParsevalReport(rel_error=rel, tol=tol, passed=rel < tol)
+    return abs(time_energy - spectral_energy) / max(time_energy, 1.0)

@@ -270,6 +270,79 @@ def test_landau_sum_over_the_zeros_separates_prime_powers(zeros_to_3000):
     assert x[np.abs(sums) > half].tolist() == powers
 
 
+# The primes <= 1e5 on N = 100 800 = 2^6 3^2 5^2 7 unit samples: N a/q is a
+# bin for every q that divides N, and the spectrum there is the exponential
+# sum over the primes at the rational a/q.
+RATIONALS_N = 100_800
+
+
+@pytest.fixture(scope="module")
+def primes_spectrum():
+    primes = sieve_primes(10 ** 5)
+    spec = dft(build_series(primes, GridSpec(delta=1.0, length=RATIONALS_N)))
+    return primes.events.astype(np.int64), spec
+
+
+def test_primes_spectrum_at_rationals_is_a_sum_over_residue_classes(
+        primes_spectrum):
+    # Prime p marks sample p, so X(N a/q) = sum_p e(-a p/q) with
+    # e(t) = exp(2 pi i t), which is exactly sum_r e(-a r/q) pi(x; q, r).
+    # Error model of the FFT (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 24): each bin is reached through at most ceil(log2 N)
+    # passes, and each pass rounds one twiddle product and one sum, u each
+    # (eps = 2u), on partial sums of at most `marks` unit terms. So the bin is
+    # within eps ceil(log2 N) marks of the exact sum, to first order. The
+    # reference reduces a r mod q in integers and sums in long double, so
+    # its own error (at most about 16 eps_ld per unit term) is the second
+    # term; with the angle 2 pi a r/q unreduced in double precision it would
+    # be about 20 eps marks by itself.
+    p, spec = primes_spectrum
+    n, marks = RATIONALS_N, p.size
+    pi_ld = 4 * np.arctan(np.longdouble(1))
+    bound = marks * (np.finfo(float).eps * math.ceil(math.log2(n))
+                     + 16 * np.finfo(np.longdouble).eps)
+    checked = 0
+    for q in range(2, 31):
+        if n % q:
+            continue
+        counts = np.bincount(p % q, minlength=q).astype(np.longdouble)
+        r = np.arange(q)
+        for a in range(1, q):
+            if math.gcd(a, q) != 1:
+                continue
+            angle = -2 * pi_ld * ((a * r) % q) / q
+            want = np.sum(counts * np.exp(1j * angle.astype(np.clongdouble)))
+            got = spec.bins[n // q * a]
+            assert np.hypot(got.real - want.real, got.imag - want.imag) \
+                <= bound, (a, q)
+            checked += 1
+    assert checked == 131  # phi(q) summed over the 20 divisors 2 <= q <= 30
+
+
+def test_primes_spectrum_peaks_sit_at_rationals_with_squarefree_q(
+        primes_spectrum):
+    # By the prime number theorem for progressions, X(N a/q) is close to
+    # pi(x) mu(q)/phi(q) for gcd(a, q) = 1: near pi(x)/phi(q) for squarefree
+    # q and small otherwise (Davenport, Multiplicative Number Theory, ch.
+    # 25-26). A floor of a tenth of the top peak, about pi(x)/10, keeps
+    # exactly the squarefree q with phi(q) <= 8 among the divisors of N; the
+    # next ones, q = 21 and 42, have phi(q) = 12.
+    _, spec = primes_spectrum
+    n = RATIONALS_N
+    denominators = {2: 1, 3: 2, 6: 2, 5: 4, 10: 4, 7: 6, 14: 6, 15: 8, 30: 8}
+    peaks = detect_peaks(spec, 0.1)
+    q = n // np.gcd(peaks, n)
+    a = peaks * q // n
+    assert sorted(peaks.tolist()) == sorted(
+        n // d * k for d in denominators for k in range(1, d // 2 + 1)
+        if math.gcd(k, d) == 1)
+    assert np.allclose(spec.frequencies[peaks] * q, a, rtol=0, atol=1e-9)
+    # strongest first: the amplitudes fall in groups ordered by 1/phi(q),
+    # pi(x) = 9592 over 1, 2, 4, 6 and 8
+    phi = [denominators[d] for d in q.tolist()]
+    assert len(peaks) == 21 and phi == sorted(phi)
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetaspectra import analysis, cli, spectral
@@ -277,8 +279,25 @@ def test_run_config_validation_direct():
         RunConfig(emit=("series", "bogus")).validate()
     with pytest.raises(ConfigError):
         RunConfig(z_values=(0,)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(tol=0.0).validate()
+    # the checks take no tolerance: validate alone refuses a bad one
+    for tol in (0.0, math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError, match="tol"):
+            RunConfig(tol=tol).validate()
+    # 2.7 terms ran as 2, a limit of 100.5 sieved to 100, and z = 1.5 or a
+    # length of 100.5 raised after the output directory existed
+    for field, value in [("k_terms", 2.7), ("k_terms", True),
+                         ("k_terms", "2.5"), ("limit", 100.5),
+                         ("limit", True), ("z_values", (1.5,)),
+                         ("z_values", (1, True)), ("length", 100.5)]:
+        with pytest.raises(ConfigError, match="integer"):
+            RunConfig(**{field: value}).validate()
+    # numpy integers pass, and the manifest echoes them as ints
+    config = RunConfig(limit=np.int64(100), k_terms=np.int32(5),
+                       z_values=(np.int64(2),), length=np.int64(50))
+    config.validate()
+    values = (config.limit, config.k_terms, *config.z_values, config.length)
+    assert [(v, type(v)) for v in values] == [(100, int), (5, int), (2, int),
+                                              (50, int)]
 
 
 def test_reconstruct_runs_before_the_csv_writers(tmp_path, monkeypatch):
@@ -312,6 +331,28 @@ def test_failed_check_exits_1(tmp_path):
     assert status == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert any(not c["pass"] for c in manifest["checks"])
+
+
+@pytest.mark.parametrize("error, status", [
+    (math.nan, 1), (RunConfig.tol, 1), (0.5 * RunConfig.tol, 0),
+], ids=["nan", "tol", "half-tol"])
+def test_the_cli_decides_each_verdict_as_error_below_tol(error, status,
+                                                         tmp_path,
+                                                         monkeypatch, capsys):
+    # the checks return their errors; a NaN and an error equal to the
+    # tolerance both fail, because the comparison is a strict err < tol
+    monkeypatch.setattr(cli, "parseval_check", lambda series, spectrum: error)
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--emit", "none"]) == status
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    (parseval,) = [c for c in checks if c["name"] == "parseval"]
+    assert parseval["pass"] is (status == 0)
+    assert all(c["pass"] for c in checks if c is not parseval)
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("CHECK FAILED")]
+    assert failed == ([] if status == 0 else
+                      [f"CHECK FAILED: parseval max_error {error:.3e} "
+                       f"(tol {RunConfig.tol})"])
 
 
 def test_selftest_cli():

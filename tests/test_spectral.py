@@ -198,9 +198,9 @@ def test_dc_bin_counts_marks(zeros100_series):
 
 def test_parseval(zeros100_series):
     spec = dft(zeros100_series)
-    report = parseval_check(zeros100_series, spec)
-    assert report.passed
-    assert report.rel_error < 1e-9
+    rel_error = parseval_check(zeros100_series, spec)
+    assert isinstance(rel_error, float)
+    assert rel_error < 1e-9
     # the spectral energy (1/N) sum |X_l|^2 is the mark count
     assert np.sum(spec.amplitudes ** 2) / spec.nbins == pytest.approx(
         zeros100_series.mark_count, rel=1e-12)
@@ -308,13 +308,8 @@ def test_periodicity_multiple_z():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_checks_reject_a_tolerance_not_positive_and_finite(tol):
     series = series_from_values([0, 0, 0, 1, 0, 0, 0, 1])
-    spectrum = dft(series)
     with pytest.raises(ValueError, match="tol"):
         periodicity_check(series, [1], tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        conjugate_symmetry_check(spectrum, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        parseval_check(series, spectrum, tol=tol)
 
 
 def test_periodicity_rejects_bad_args():
@@ -388,21 +383,20 @@ def test_periodicity_restricted_to_the_last_bins(m, count, monkeypatch):
 
 def test_symmetry_real_series():
     series = random_indicator(90, np.random.default_rng(61))
-    report = conjugate_symmetry_check(dft(series))
-    assert report.passed
-    assert report.max_asymmetry < 1e-9
+    asymmetry = conjugate_symmetry_check(dft(series))
+    assert isinstance(asymmetry, float)
+    assert asymmetry < 1e-9
 
 
 def test_symmetry_four_point_case():
-    report = conjugate_symmetry_check(spectrum_from_bins([2, 0, 2, 0]))
-    assert report.max_asymmetry == 0.0
+    assert conjugate_symmetry_check(spectrum_from_bins([2, 0, 2, 0])) == 0.0
 
 
 def test_symmetry_detects_perturbation():
     series = random_indicator(64, np.random.default_rng(71))
     bins = dft(series).bins.copy()
     bins[5] += 1e-3
-    report = conjugate_symmetry_check(spectrum_from_bins(bins))
-    assert not report.passed
-    assert report.max_asymmetry == pytest.approx(
+    asymmetry = conjugate_symmetry_check(spectrum_from_bins(bins))
+    assert asymmetry > 1e-9
+    assert asymmetry == pytest.approx(
         abs(abs(bins[5]) - abs(bins[64 - 5])), rel=1e-12)
