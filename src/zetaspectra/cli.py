@@ -3,8 +3,8 @@
 Every figure-worthy intermediate is emitted as CSV; a JSON manifest records
 the emitted files, row counts, property-check verdicts and versions. Logs go
 to stderr, data only to files. Exit status: 0 all checks pass, 1 a check
-failed, 2 bad usage or input (one stderr line, reported before the output
-directory is created).
+failed, 2 bad usage, bad input or a path that cannot be read or written (one
+stderr line from ``main``; bad input is refused before any output is made).
 """
 
 from __future__ import annotations
@@ -63,24 +63,20 @@ class RunConfig:
         return 100.0 if self.t_max is None else self.t_max
 
     def validate(self) -> None:
-        for name in ("t_max", "gap", "delta", "tol"):
-            if not math.isfinite(getattr(self, name) or 0.0):
-                raise ConfigError(f"{name.replace('_', '-')} must be finite")
+        for name in ("t_max", "gap", "delta", "tol"):  # bound is t_max if given
+            value = self.bound if name == "t_max" else getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name.replace('_', '-')} must be positive "
+                                  f"and finite, got {value}")
         if self.source not in SOURCES:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "zeros-file" and not self.zero_file:
             raise ConfigError("source zeros-file requires --zero-file")
         if self.source != "zeros-file" and self.zero_file:
             raise ConfigError("--zero-file only applies to source zeros-file")
-        if self.t_max is not None and self.t_max <= 0.0:
-            raise ConfigError(f"t-max must be positive, got {self.t_max}")
         self.limit = _integer("limit", self.limit)
         if self.limit < 2:
             raise ConfigError(f"limit must be >= 2, got {self.limit}")
-        if self.gap <= 0.0:
-            raise ConfigError(f"gap must be positive, got {self.gap}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.length is not None:
             self.length = _integer("length", self.length)
             if not 2 <= self.length <= MAX_LENGTH:
@@ -90,16 +86,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown emit names: {sorted(unknown)}")
         if self.k_terms != "all":
-            k = self.k_terms
-            try:  # the CLI passes the option's text
-                k = int(k) if isinstance(k, str) else _integer("k-terms", k)
-            except ValueError:
-                raise ConfigError(
-                    f"k-terms must be an integer or 'all', got {self.k_terms!r}"
-                ) from None
-            if k < 1:
-                raise ConfigError(f"k-terms must be >= 1, got {k}")
-            self.k_terms = k
+            self.k_terms = _integer("k-terms", self.k_terms)
+            if self.k_terms < 1:
+                raise ConfigError(f"k-terms must be >= 1, got {self.k_terms}")
         if not 0.0 < self.threshold_fraction <= 1.0:
             raise ConfigError(
                 f"threshold must be in (0, 1], got {self.threshold_fraction}")
@@ -108,8 +97,6 @@ class RunConfig:
             raise ConfigError(f"z values must be >= 1, got {self.z_values}")
         if len(set(self.z_values)) < len(self.z_values):
             raise ConfigError(f"z values must not repeat, got {self.z_values}")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
 def _integer(name: str, value) -> int:
@@ -130,10 +117,7 @@ def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
         return (find_zeros(0.0, config.bound),
                 f"zeta zeros computed up to t = {config.bound}")
     if config.source == "zeros-file":
-        try:
-            events = load_zeros(config.zero_file)
-        except OSError as exc:
-            raise ConfigError(f"cannot read zero file: {exc}") from None
+        events = load_zeros(config.zero_file)
         what = f"zeros loaded from {config.zero_file}"
         if config.t_max is None:
             return events, what
@@ -147,8 +131,8 @@ def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
             f"synthetic impulse train, gap {config.gap}, up to {top}")
 
 
-def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
-    """Each check's error and its verdict err < tol, which a NaN fails."""
+def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list:
+    """Each check's (name, error) pair."""
     n = series.grid.length
     reports = periodicity_check(series, list(config.z_values), tol=config.tol)
     if reports and reports[0].bins < n:
@@ -156,8 +140,7 @@ def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list[dict]:
     errors = [(f"periodicity_z{r.z}", r.max_abs_diff) for r in reports]
     errors += [("conjugate_symmetry", conjugate_symmetry_check(spectrum)),
                ("parseval", parseval_check(series, spectrum))]
-    return [{"name": name, "pass": err < config.tol, "max_error": err}
-            for name, err in errors]
+    return errors
 
 
 def run(config: RunConfig) -> int:
@@ -186,10 +169,7 @@ def run(config: RunConfig) -> int:
     _log(f"{len(events)} events on a grid of {grid.length} samples "
          f"(delta {grid.delta})")
     out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     series = build_series(events, grid)
     spectrum = dft(series)
@@ -197,7 +177,7 @@ def run(config: RunConfig) -> int:
     # set the run's peak memory
     if "recon" in config.emit:
         recon = reconstruct(spectrum, config.k_terms)
-    checks = _checks(series, spectrum, config)
+    errors = _checks(series, spectrum, config)
 
     files = []
 
@@ -237,7 +217,10 @@ def run(config: RunConfig) -> int:
         "config_echo": dict(asdict(config), length=grid.length,
                             out_dir=str(out_dir)),
         "files": files,
-        "checks": checks,
+        # the verdict is err < tol, which a NaN fails; JSON has no NaN or inf
+        "checks": [{"name": name, "pass": err < config.tol,
+                    "max_error": err if math.isfinite(err) else None}
+                   for name, err in errors],
         "versions": {
             "zetaspectra": __version__,
             "numpy": np.__version__,
@@ -245,12 +228,11 @@ def run(config: RunConfig) -> int:
         },
     }
     write_manifest(out_dir / "manifest.json", manifest)
-    _log(f"wrote manifest.json ({len(files)} files, {len(checks)} checks)")
+    _log(f"wrote manifest.json ({len(files)} files, {len(errors)} checks)")
 
-    failed = [c for c in checks if not c["pass"]]
-    for c in failed:
-        _log(f"CHECK FAILED: {c['name']} max_error {c['max_error']:.3e} "
-             f"(tol {config.tol})")
+    failed = [(name, err) for name, err in errors if not err < config.tol]
+    for name, err in failed:
+        _log(f"CHECK FAILED: {name} max_error {err:.3e} (tol {config.tol})")
     return 1 if failed else 0
 
 
@@ -318,6 +300,13 @@ def selftest() -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises parse errors as ConfigError for main; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _parse_emit(text: str) -> tuple[str, ...]:
     if text == "all":
         return EMIT_CHOICES
@@ -333,13 +322,21 @@ def _parse_z(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad z list: {text!r}") from None
 
 
+def _parse_k(text: str) -> int | str:
+    try:
+        return text if text == "all" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'all', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetaspectra",
         description="Indicator series over zeta zeros or primes, their DFT "
                     "spectra, spectral property checks, and harmonic "
                     "reconstruction.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     # no defaults here: an option left out keeps RunConfig's
     d = RunConfig()
@@ -367,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list from "
                            f"{{{','.join(EMIT_CHOICES)}}}, or all / none "
                            "(default all)")
-    runp.add_argument("--k-terms", help="bins used in the reconstruction "
-                      f"(default {d.k_terms})")
+    runp.add_argument("--k-terms", type=_parse_k, help="bins used in the "
+                      f"reconstruction (default {d.k_terms})")
     runp.add_argument("--threshold", type=float, dest="threshold_fraction",
                       metavar="THRESHOLD",
                       help="peak floor as a fraction of the strongest non-DC "
@@ -385,18 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return selftest()
-    if args.command != "run":
-        parser.print_help(sys.stderr)
-        return 2
-    del args.command
-    config = RunConfig(**vars(args))
     try:
-        return run(config)
-    except (ConfigError, DomainError, MissedZeroError, ZeroTableError) as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "selftest":
+            return selftest()
+        del args.command
+        return run(RunConfig(**vars(args)))
+    except (ConfigError, DomainError, MissedZeroError, ZeroTableError,
+            OSError) as exc:
         _log(f"usage error: {exc}")
         return 2
 

@@ -84,7 +84,6 @@ class PeriodicityReport:
     z: int
     max_abs_diff: float
     tol: float
-    passed: bool
     bins: int  # how many base bins were compared, the last ones up to N - 1
 
 
@@ -191,7 +190,8 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     N times the mark count (taken as at least 1) is at most
     PERIODICITY_TERMS; otherwise the last PERIODICITY_TERMS // marks bins,
     at least one, which end at N - 1, where l + z*N is largest. Each report
-    gives that count as ``bins``. ValueError unless 0 < tol < inf.
+    gives that count as ``bins``, and its error with the tol, from which the
+    caller decides a verdict. ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -211,8 +211,7 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
                        (shifts[:, None] + np.arange(n - count, n)).ravel())
     sums = sums.reshape(shifts.size, -1)
     diffs = np.max(np.abs(sums[1:] - sums[0]), axis=1, initial=0.0)
-    return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, passed=d < tol,
-                              bins=count)
+    return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, bins=count)
             for z, d in zip(zs.tolist(), diffs.tolist())]
 
 

@@ -197,10 +197,19 @@ def test_usage_errors_exit_2(tmp_path):
     ("--source", "zeros-file", "--zero-file", "UNDECODABLE"),
     ("--source", "primes", "--limit", "10", "--delta", "1e-320"),
     ("--source", "synthetic", "--gap", "1e-300"),
+    # argparse's own errors take the same path as a refused configuration
+    ("--source", "nonsense"),
+    ("--limit", "2.5"),
+    ("--z", "1,x"),
+    ("--k-terms", "2.5"),
+    ("--bogus",),
+    (),  # no subcommand at all: no help dump, one line
 ], ids=["gap-beyond-span", "missing-table", "malformed-table", "grid-below-3",
         "k-beyond-grid", "z-beyond-int64", "z-repeated", "t-max-nan",
         "t-max-inf", "delta-nan", "gap-nan", "tol-nan", "tol-inf",
-        "undecodable-table", "grid-length-infinite", "train-beyond-array"])
+        "undecodable-table", "grid-length-infinite", "train-beyond-array",
+        "source-unknown", "limit-not-int", "z-not-int", "k-not-int",
+        "option-unknown", "no-command"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     tables = {"MALFORMED": tmp_path / "zeros.txt",
               "UNDECODABLE": tmp_path / "zeros-utf16.txt"}
@@ -208,11 +217,29 @@ def test_bad_input_exits_2_before_any_output(args, tmp_path):
     tables["UNDECODABLE"].write_text("14.1\n", encoding="utf-16")
     args = [str(tables.get(a, a)) for a in args]
     out = tmp_path / "out"
-    cp = run_cli("run", *args, "--out", str(out))
+    cp = run_cli(*(["run", *args, "--out", str(out)] if args else []))
     assert cp.returncode == 2
     assert len(cp.stderr.splitlines()) == 1, cp.stderr
     assert cp.stderr.startswith("usage error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocker", ["series.csv", "out"],
+                         ids=["file-is-a-directory", "out-is-a-file"])
+def test_an_unwritable_path_exits_2_without_a_traceback(blocker, tmp_path):
+    # series.csv pre-made as a directory cannot be opened for writing, and a
+    # regular file named like the output directory cannot be made one
+    out = tmp_path / "out"
+    if blocker == "out":
+        out.write_text("")
+    else:
+        (out / blocker).mkdir(parents=True)
+    cp = run_cli("run", "--t-max", "30", "--out", str(out))
+    assert cp.returncode == 2
+    # the run's two log lines come first, then the one error line
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 3 and "Traceback" not in cp.stderr, cp.stderr
+    assert lines[-1].startswith("usage error: ") and str(out) in lines[-1]
 
 
 class SeriesBuilt(Exception):
@@ -283,6 +310,11 @@ def test_run_config_validation_direct():
     for tol in (0.0, math.nan, math.inf, -1.0):
         with pytest.raises(ConfigError, match="tol"):
             RunConfig(tol=tol).validate()
+    # one positive-and-finite test per float field, named in the message
+    for field, value in [("t_max", 0.0), ("t_max", math.inf), ("gap", -1.0),
+                         ("delta", 0.0)]:
+        with pytest.raises(ConfigError, match=field.replace("_", "-")):
+            RunConfig(**{field: value}).validate()
     # 2.7 terms ran as 2, a limit of 100.5 sieved to 100, and z = 1.5 or a
     # length of 100.5 raised after the output directory existed
     for field, value in [("k_terms", 2.7), ("k_terms", True),
@@ -333,6 +365,10 @@ def test_failed_check_exits_1(tmp_path):
     assert any(not c["pass"] for c in manifest["checks"])
 
 
+def _refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
 @pytest.mark.parametrize("error, status", [
     (math.nan, 1), (RunConfig.tol, 1), (0.5 * RunConfig.tol, 0),
 ], ids=["nan", "tol", "half-tol"])
@@ -344,9 +380,12 @@ def test_the_cli_decides_each_verdict_as_error_below_tol(error, status,
     monkeypatch.setattr(cli, "parseval_check", lambda series, spectrum: error)
     out = tmp_path / "out"
     assert main(["run", "--out", str(out), "--emit", "none"]) == status
-    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    # strict JSON: a NaN error is written as null, not as the bare token NaN
+    checks = json.loads((out / "manifest.json").read_text(),
+                        parse_constant=_refuse_constant)["checks"]
     (parseval,) = [c for c in checks if c["name"] == "parseval"]
     assert parseval["pass"] is (status == 0)
+    assert parseval["max_error"] == (None if math.isnan(error) else error)
     assert all(c["pass"] for c in checks if c is not parseval)
     failed = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("CHECK FAILED")]
