@@ -10,7 +10,7 @@ from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros,
                         riemann_siegel_Z, sieve_primes, synthetic_train)
 from .spectral import (PeriodicityReport, Spectrum, amplitude_phase,
-                       conjugate_symmetry_check, dft, dft_direct, idft,
+                       conjugate_symmetry_check, dft, dft_direct,
                        parseval_check, periodicity_check)
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "GridSpec", "MangoldtSeries", "build_series",
     # spectral
     "Spectrum", "PeriodicityReport",
-    "dft", "dft_direct", "idft", "amplitude_phase", "periodicity_check",
+    "dft", "dft_direct", "amplitude_phase", "periodicity_check",
     "conjugate_symmetry_check", "parseval_check",
     # analysis
     "frequency_ratio_series", "reciprocal_series", "fermat_spiral",

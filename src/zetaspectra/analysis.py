@@ -26,7 +26,7 @@ def frequency_ratio_series(spectrum: Spectrum) -> np.ndarray:
     is entry N//2 - 2."""
     n = spectrum.nbins
     if n < 3:
-        raise ValueError(f"need at least 3 bins, got {n}")
+        raise DomainError(f"ratios need at least 3 bins, got {n}")
     t = np.arange(1, n - 1, dtype=float)
     return (t + 1.0) / t
 
@@ -84,9 +84,10 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all") -> np.ndarray:
     superposition. Selecting all N bins gives the inverse FFT itself.
     """
     n = spectrum.nbins
-    k = n if k_terms == "all" else int(k_terms)
-    if not 1 <= k <= n:
-        raise ValueError(f"k_terms must be in 1..{n} or 'all', got {k_terms}")
+    k = n if k_terms == "all" else k_terms  # False fails the range
+    if not isinstance(k, (int, np.integer)) or k is True or not 1 <= k <= n:
+        raise DomainError(f"k_terms must be an integer in 1..{n} or 'all', "
+                          f"got {k_terms!r}")
     bins = spectrum.bins
     if k < n:  # with every bin chosen the ranking decides nothing
         # the k largest amplitudes, ties at the k-th to the lower bin index

@@ -4,7 +4,8 @@ Every figure-worthy intermediate is emitted as CSV; a JSON manifest records
 the emitted files, row counts, property-check verdicts and versions. Logs go
 to stderr, data only to files. Exit status: 0 all checks pass, 1 a check
 failed, 2 bad usage, bad input or a path that cannot be read or written (one
-stderr line from ``main``; bad input is refused before any output is made).
+stderr line from ``main``; ``run`` computes before it logs or writes, so bad
+input leaves no log line and no output).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         ZeroTableError, find_zeros, load_zeros, sieve_primes,
                         synthetic_train)
-from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft, idft,
+from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft,
                        parseval_check, periodicity_check)
 
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
@@ -144,7 +145,7 @@ def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the pipeline; returns the process exit status."""
+    """Compute, then log, then write; returns the process exit status."""
     config.validate()
     events, what = _build_events(config)
     if config.length is not None:
@@ -155,22 +156,6 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"delta {config.delta} makes the grid longer "
                               f"than {MAX_LENGTH} samples (int64 phases): "
                               "raise --delta or set --length")
-    if "ratios" in config.emit and grid.length < 3:
-        raise ConfigError(f"ratios need at least 3 samples, the grid has "
-                          f"{grid.length}")
-    if "recon" in config.emit and config.k_terms != "all" \
-            and config.k_terms > grid.length:
-        raise ConfigError(f"k-terms {config.k_terms} exceeds the "
-                          f"{grid.length} bins of the grid")
-    if max(config.z_values, default=1) >= (2 ** 63 - 1) // grid.length:
-        raise ConfigError(f"z values must stay below 2^63 / {grid.length} "
-                          f"for int64 phases, got {max(config.z_values)}")
-    _log(what)
-    _log(f"{len(events)} events on a grid of {grid.length} samples "
-         f"(delta {grid.delta})")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     series = build_series(events, grid)
     spectrum = dft(series)
     # before the writers fragment the heap: the inverse FFT's temporaries
@@ -178,6 +163,14 @@ def run(config: RunConfig) -> int:
     if "recon" in config.emit:
         recon = reconstruct(spectrum, config.k_terms)
     errors = _checks(series, spectrum, config)
+    if "ratios" in config.emit:
+        ratios = frequency_ratio_series(spectrum)
+        recips = reciprocal_series(spectrum)
+    _log(what)
+    _log(f"{len(events)} events on a grid of {grid.length} samples "
+         f"(delta {grid.delta})")
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     files = []
 
@@ -201,17 +194,13 @@ def run(config: RunConfig) -> int:
         emitted("recon.csv",
                 write_recon_csv(out_dir / "recon.csv", series, recon))
     if "ratios" in config.emit:
-        ratios = frequency_ratio_series(spectrum)
-        recips = reciprocal_series(spectrum)
         emitted("ratios.csv",
                 write_ratios_csv(out_dir / "ratios.csv", ratios, recips))
     if "pnt" in config.emit:
         x = np.array(PNT_CHECKPOINTS)
         counts = np.searchsorted(sieve_primes(x[-1]).events, x, side="right")
-        ratios = np.array([pnt_ratio(*c) for c in zip(x.tolist(),
-                                                      counts.tolist())])
-        emitted("pnt.csv",
-                write_pnt_csv(out_dir / "pnt.csv", x, counts, ratios))
+        pnt = np.array(list(map(pnt_ratio, x.tolist(), counts.tolist())))
+        emitted("pnt.csv", write_pnt_csv(out_dir / "pnt.csv", x, counts, pnt))
 
     manifest = {
         "config_echo": dict(asdict(config), length=grid.length,
@@ -262,7 +251,7 @@ SELFTEST_BOUNDS = {"round_trip": 1e-9, "periodicity": 1e-9, "symmetry": 1e-9,
 def _suite_error(suite: str, series: MangoldtSeries) -> float:
     spectrum = dft(series)
     if suite == "round_trip":
-        return float(np.max(np.abs(idft(spectrum) - series.values)))
+        return float(np.max(np.abs(reconstruct(spectrum) - series.values)))
     if suite == "periodicity":
         reports = periodicity_check(series, [1, 2, 3])
         return max(r.max_abs_diff for r in reports)
@@ -392,7 +381,3 @@ def main(argv: list[str] | None = None) -> int:
             OSError) as exc:
         _log(f"usage error: {exc}")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

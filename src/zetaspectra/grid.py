@@ -25,8 +25,9 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be finite and > 0, got {self.delta}")
-        if self.length < 2:
-            raise ValueError(f"length must be >= 2, got {self.length}")
+        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
+            raise DomainError(f"length must be an integer >= 2, got "
+                              f"{self.length!r}")
 
     @classmethod
     def for_events(cls, events: EventSequence, delta: float = 1.0) -> "GridSpec":

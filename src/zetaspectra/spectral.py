@@ -5,15 +5,16 @@ Forward convention: bin l holds
     X(nu_l) = sum_{k=0}^{N-1} v_k exp(-i 2 pi nu_l (k delta)),   nu_l = l / (N delta)
 
 so the exponent reduces to -i 2 pi l k / N and the frequency axis is in cycles
-per location unit. The inverse carries the +i sign and the 1/N factor. The
-fast path delegates to the FFT; ``dft_direct`` keeps the literal sum as the
-reference route, and ``periodicity_check`` evaluates that sum at shifted
-integer arguments where the FFT cannot, on every bin while N times the mark
-count is at most PERIODICITY_TERMS, else on the last bins up to N - 1. The
-literal sum is exact in its phases (reduced in int64, N^2 < 2^63, then read
-from one table of exp(-2 pi i j / N)) and sums the requested bins in blocks
-of about sqrt(N) bins that share one table of rotations (see
-``direct_bins``). Per-bin quantities are numpy columns indexed by bin.
+per location unit. The inverse (``analysis.reconstruct`` with every bin)
+carries the +i sign and the 1/N factor. The fast path delegates to the FFT;
+``dft_direct`` keeps the literal sum as the reference route, and
+``periodicity_check`` evaluates that sum at shifted integer arguments where
+the FFT cannot, on every bin while N times the mark count is at most
+PERIODICITY_TERMS, else on the last bins up to N - 1. The literal sum is
+exact in its phases (reduced in int64, N^2 < 2^63, then read from one table
+of exp(-2 pi i j / N)) and sums the requested bins in blocks of about
+sqrt(N) bins that share one table of rotations (see ``direct_bins``).
+Per-bin quantities are numpy columns indexed by bin.
 ``conjugate_symmetry_check`` and ``parseval_check`` return their error as a
 float and leave the verdict to the caller's tolerance.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, MangoldtSeries
+from .numtheory import DomainError
 
 __all__ = [
     "Spectrum",
@@ -33,7 +35,6 @@ __all__ = [
     "dft",
     "dft_direct",
     "direct_bins",
-    "idft",
     "amplitude_phase",
     "periodicity_check",
     "conjugate_symmetry_check",
@@ -93,7 +94,7 @@ def dft(series: MangoldtSeries) -> Spectrum:
 
 
 def _integers(x, what: str) -> np.ndarray:
-    """x as an int64 array; ValueError unless every entry is an integer."""
+    """x as an int64 array; DomainError unless every entry is an integer."""
     x = np.atleast_1d(np.asarray(x))
     try:
         with np.errstate(invalid="ignore"):
@@ -101,7 +102,7 @@ def _integers(x, what: str) -> np.ndarray:
     except OverflowError:
         m = None
     if m is None or not np.array_equal(m, x):
-        raise ValueError(f"{what} must be integers in int64 range")
+        raise DomainError(f"{what} must be integers in int64 range")
     return m
 
 
@@ -153,15 +154,6 @@ def dft_direct(values: np.ndarray, grid: GridSpec) -> Spectrum:
     return Spectrum(direct_bins(values, np.arange(grid.length)), grid)
 
 
-def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform (1/N) sum_l X_l exp(+i 2 pi l k / N) as a real series.
-
-    For the spectrum of a real series the discarded imaginary residue is
-    below 1e-9 per sample.
-    """
-    return np.fft.ifft(spectrum.bins).real
-
-
 def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude and phase columns, one entry per bin.
 
@@ -185,23 +177,23 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     ``direct_bins`` reduces every phase exactly before any floating-point
     work, so the check is exact by construction: the difference is 0.0
     unless that index reduction is wrong, which is all it guards; it does
-    not exercise the float arithmetic of the sum. Non-integer z raises
-    ValueError: the identity does not hold there. Every bin is checked when
-    N times the mark count (taken as at least 1) is at most
-    PERIODICITY_TERMS; otherwise the last PERIODICITY_TERMS // marks bins,
-    at least one, which end at N - 1, where l + z*N is largest. Each report
-    gives that count as ``bins``, and its error with the tol, from which the
-    caller decides a verdict. ValueError unless 0 < tol < inf.
+    not exercise the float arithmetic of the sum. DomainError for a
+    fractional z, where the identity does not hold, for z < 1, for z*N past
+    int64, or unless 0 < tol < inf. Every bin is checked when N times the
+    mark count (taken as at least 1) is at most PERIODICITY_TERMS; otherwise
+    the last PERIODICITY_TERMS // marks bins, at least one, which end at
+    N - 1, where l + z*N is largest. Each report gives that count as ``bins``,
+    and its error with the tol, from which the caller decides its verdict.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     n = series.grid.length
     zs = _integers(z_values, "shift multiples")
     for z in zs.tolist():
         if z < 1:
-            raise ValueError(f"shift multiples must be positive, got {z}")
+            raise DomainError(f"shift multiples must be positive, got {z}")
         if z > (np.iinfo(np.int64).max - n) // n:
-            raise ValueError(f"shift z*N overflows int64, got z = {z}")
+            raise DomainError(f"shift z*N overflows int64, got z = {z}")
     if not zs.size:
         return []
     count = min(n, max(1, PERIODICITY_TERMS // max(series.mark_count, 1)))

@@ -5,9 +5,8 @@ import pytest
 
 from zetaspectra import (DomainError, EventSequence, GridSpec, Spectrum,
                          build_series, detect_peaks, dft, find_zeros,
-                         fermat_spiral, frequency_ratio_series, idft,
-                         pnt_ratio, reciprocal_series, reconstruct,
-                         sieve_primes)
+                         fermat_spiral, frequency_ratio_series, pnt_ratio,
+                         reciprocal_series, reconstruct, sieve_primes)
 
 from conftest import random_indicator, series_from_values
 from oracles import dft_brute, prime_powers, trial_division_primes
@@ -426,7 +425,8 @@ def test_reconstruct_breaks_ties_at_the_kth_amplitude_by_index():
 
 def test_reconstruct_matches_inverse_transform(zeros100_series):
     spec = dft(zeros100_series)
-    assert np.max(np.abs(reconstruct(spec, "all") - idft(spec))) < 1e-9
+    inverse = np.fft.ifft(spec.bins).real
+    assert np.max(np.abs(reconstruct(spec, "all") - inverse)) < 1e-9
 
 
 def test_reconstruct_all_bins_is_the_plain_inverse_fft(zeros100_series):
@@ -443,6 +443,23 @@ def test_reconstruct_k_validation(zeros100_series):
         reconstruct(spec, 0)
     with pytest.raises(ValueError):
         reconstruct(spec, 101)
+
+
+@pytest.mark.parametrize("k", [2.7, 2.0, np.float64(2), True, False, "2",
+                               None],
+                         ids=["fraction", "whole-float", "numpy-float", "true",
+                              "false", "str", "none"])
+def test_reconstruct_refuses_a_term_count_that_is_not_an_integer(
+        k, zeros100_series):
+    # int() would run 2.7 as 2 and True as 1
+    with pytest.raises(DomainError, match="integer"):
+        reconstruct(dft(zeros100_series), k)
+
+
+def test_reconstruct_takes_a_numpy_integer_term_count(zeros100_series):
+    spec = dft(zeros100_series)
+    for k in (np.int64(5), np.int32(5), np.uint8(5)):
+        assert np.array_equal(reconstruct(spec, k), reconstruct(spec, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaspectra import analysis, cli, spectral
+from zetaspectra import (EventSequence, GridSpec, analysis, build_series, cli,
+                         dft, spectral)
 from zetaspectra.cli import ConfigError, RunConfig, main, run, selftest
-from zetaspectra.numtheory import MissedZeroError
+from zetaspectra.numtheory import DomainError, MissedZeroError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -224,6 +225,23 @@ def test_bad_input_exits_2_before_any_output(args, tmp_path):
     assert not out.exists()
 
 
+def test_the_library_owns_the_rules_run_refuses_after_the_fft():
+    # run states none of these rules itself: the k-beyond-grid,
+    # z-beyond-int64 and grid-below-3 cases above exit 2 through these
+    # DomainErrors, which main maps like a refused configuration
+    series = build_series(EventSequence(np.array([3.0, 50.0])),
+                          GridSpec(delta=1.0, length=100))
+    spectrum = dft(series)
+    with pytest.raises(DomainError, match="k_terms"):
+        analysis.reconstruct(spectrum, 101)
+    with pytest.raises(DomainError, match="overflows int64"):
+        spectral.periodicity_check(series, [2 ** 62])
+    two = dft(build_series(EventSequence(np.array([1.0])),
+                           GridSpec(delta=1.0, length=2)))
+    with pytest.raises(DomainError, match="3 bins"):
+        analysis.frequency_ratio_series(two)
+
+
 @pytest.mark.parametrize("blocker", ["series.csv", "out"],
                          ids=["file-is-a-directory", "out-is-a-file"])
 def test_an_unwritable_path_exits_2_without_a_traceback(blocker, tmp_path):
@@ -425,7 +443,8 @@ EXACT_DIRECT_BINS = spectral.direct_bins
 # each fault is injected into what the suite's detector reads, so the
 # detector itself must report it
 FAULTS = {
-    "round_trip": (cli, "idft", lambda s: spectral.idft(_bumped(s, 3))),
+    "round_trip": (cli, "reconstruct",
+                   lambda s: analysis.reconstruct(_bumped(s, 3))),
     # each shifted sum taken at l + zN + 1, a shift that is not a multiple of N
     "periodicity": (spectral, "direct_bins",
                     lambda values, indices: EXACT_DIRECT_BINS(

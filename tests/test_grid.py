@@ -31,6 +31,22 @@ def test_gridspec_validation():
             GridSpec(delta=delta, length=10)
 
 
+@pytest.mark.parametrize("length", [2.5, 10.0, np.float64(10), True, "10",
+                                    None],
+                         ids=["fraction", "whole-float", "numpy-float", "bool",
+                              "str", "none"])
+def test_gridspec_refuses_a_length_that_is_not_an_integer(length):
+    # np.arange would give a length of 2.5 three locations, and np.zeros a
+    # TypeError in build_series
+    with pytest.raises(DomainError, match="integer"):
+        GridSpec(delta=1.0, length=length)
+
+
+def test_gridspec_takes_a_numpy_integer_length():
+    series = build_series(events_of([3.0]), GridSpec(1.0, np.int64(5)))
+    assert marks(series) == [3] and series.values.size == 5
+
+
 def test_gridspec_for_events_default_rule():
     events = events_of(ZEROS_BELOW_100)
     grid = GridSpec.for_events(events)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from zetaspectra import (GridSpec, Spectrum, amplitude_phase,
-                         conjugate_symmetry_check, dft, dft_direct, idft,
-                         parseval_check, periodicity_check, spectral)
+                         conjugate_symmetry_check, dft, dft_direct,
+                         parseval_check, periodicity_check, reconstruct,
+                         spectral)
 from zetaspectra.spectral import _bin_block, direct_bins
 
 from conftest import random_indicator, series_from_values
@@ -213,24 +214,24 @@ def test_parseval(zeros100_series):
 @pytest.mark.parametrize("n", [8, 64, 97, 256])
 def test_round_trip(n):
     series = random_indicator(n, np.random.default_rng(n + 1))
-    back = idft(dft(series))
+    back = reconstruct(dft(series))
     assert np.max(np.abs(back - series.values)) < 1e-9
 
 
 def test_idft_all_zero_spectrum():
     spec = spectrum_from_bins(np.zeros(8))
-    assert np.all(idft(spec) == 0)
+    assert np.all(reconstruct(spec) == 0)
 
 
 def test_idft_four_point_case():
     spec = spectrum_from_bins([2, 0, 2, 0])
-    assert np.allclose(idft(spec), [1, 0, 1, 0], atol=1e-12)
+    assert np.allclose(reconstruct(spec), [1, 0, 1, 0], atol=1e-12)
     assert np.allclose(idft_brute([2, 0, 2, 0]), [1, 0, 1, 0], atol=1e-12)
 
 
 def test_idft_imag_residue_small_for_real_series():
     series = random_indicator(81, np.random.default_rng(9))
-    # what idft discards
+    # what reconstruct discards
     residue = np.max(np.abs(np.fft.ifft(dft(series).bins).imag))
     assert residue < 1e-9
 
