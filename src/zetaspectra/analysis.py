@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .numtheory import DomainError, sieve_primes
+from .numtheory import DomainError, _integer, sieve_primes
 from .spectral import Spectrum
 
 __all__ = [
@@ -57,7 +57,7 @@ def detect_peaks(spectrum: Spectrum,
     amplitude and implied gap 1/f are the spectrum's columns at its bin.
     """
     if not 0.0 < threshold_fraction <= 1.0:
-        raise ValueError(
+        raise DomainError(
             f"threshold_fraction must be in (0, 1], got {threshold_fraction}")
     amp = spectrum.amplitudes
     n = spectrum.nbins
@@ -84,8 +84,8 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all") -> np.ndarray:
     superposition. Selecting all N bins gives the inverse FFT itself.
     """
     n = spectrum.nbins
-    k = n if k_terms == "all" else k_terms  # False fails the range
-    if not isinstance(k, (int, np.integer)) or k is True or not 1 <= k <= n:
+    k = n if k_terms == "all" else _integer("k_terms", k_terms)
+    if not 1 <= k <= n:
         raise DomainError(f"k_terms must be an integer in 1..{n} or 'all', "
                           f"got {k_terms!r}")
     bins = spectrum.bins

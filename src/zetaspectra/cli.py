@@ -3,9 +3,10 @@
 Every figure-worthy intermediate is emitted as CSV; a JSON manifest records
 the emitted files, row counts, property-check verdicts and versions. Logs go
 to stderr, data only to files. Exit status: 0 all checks pass, 1 a check
-failed, 2 bad usage, bad input or a path that cannot be read or written (one
-stderr line from ``main``; ``run`` computes before it logs or writes, so bad
-input leaves no log line and no output).
+failed, 2 bad usage or input (a ``DomainError``, the parser's and the
+library's alike) or a path that cannot be read or written: one stderr line
+from ``main``. ``run`` computes before it logs or writes, so bad input leaves
+no log line and no output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .emit import (write_manifest, write_peaks_csv, write_pnt_csv,
                    write_spectrum_csv, write_spiral_csv)
 from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
-                        ZeroTableError, find_zeros, load_zeros, sieve_primes,
+                        _integer, find_zeros, load_zeros, sieve_primes,
                         synthetic_train)
 from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft,
                        parseval_check, periodicity_check)
@@ -35,10 +36,6 @@ from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft,
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
 PNT_CHECKPOINTS = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (maps to exit status 2)."""
 
 
 @dataclass
@@ -67,45 +64,37 @@ class RunConfig:
         for name in ("t_max", "gap", "delta", "tol"):  # bound is t_max if given
             value = self.bound if name == "t_max" else getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name.replace('_', '-')} must be positive "
+                raise DomainError(f"{name.replace('_', '-')} must be positive "
                                   f"and finite, got {value}")
         if self.source not in SOURCES:
-            raise ConfigError(f"unknown source {self.source!r}")
+            raise DomainError(f"unknown source {self.source!r}")
         if self.source == "zeros-file" and not self.zero_file:
-            raise ConfigError("source zeros-file requires --zero-file")
+            raise DomainError("source zeros-file requires --zero-file")
         if self.source != "zeros-file" and self.zero_file:
-            raise ConfigError("--zero-file only applies to source zeros-file")
+            raise DomainError("--zero-file only applies to source zeros-file")
         self.limit = _integer("limit", self.limit)
         if self.limit < 2:
-            raise ConfigError(f"limit must be >= 2, got {self.limit}")
+            raise DomainError(f"limit must be >= 2, got {self.limit}")
         if self.length is not None:
             self.length = _integer("length", self.length)
             if not 2 <= self.length <= MAX_LENGTH:
-                raise ConfigError(f"length must be in 2..{MAX_LENGTH}, got "
+                raise DomainError(f"length must be in 2..{MAX_LENGTH}, got "
                                   f"{self.length}")
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
-            raise ConfigError(f"unknown emit names: {sorted(unknown)}")
+            raise DomainError(f"unknown emit names: {sorted(unknown)}")
         if self.k_terms != "all":
             self.k_terms = _integer("k-terms", self.k_terms)
             if self.k_terms < 1:
-                raise ConfigError(f"k-terms must be >= 1, got {self.k_terms}")
+                raise DomainError(f"k-terms must be >= 1, got {self.k_terms}")
         if not 0.0 < self.threshold_fraction <= 1.0:
-            raise ConfigError(
+            raise DomainError(
                 f"threshold must be in (0, 1], got {self.threshold_fraction}")
         self.z_values = tuple(_integer("z value", z) for z in self.z_values)
         if any(z < 1 for z in self.z_values):
-            raise ConfigError(f"z values must be >= 1, got {self.z_values}")
+            raise DomainError(f"z values must be >= 1, got {self.z_values}")
         if len(set(self.z_values)) < len(self.z_values):
-            raise ConfigError(f"z values must not repeat, got {self.z_values}")
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; ConfigError unless it is an int or a numpy integer,
-    and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+            raise DomainError(f"z values must not repeat, got {self.z_values}")
 
 
 def _log(msg: str) -> None:
@@ -153,7 +142,7 @@ def run(config: RunConfig) -> int:
     else:
         grid = GridSpec.for_events(events, delta=config.delta)
         if grid.length > MAX_LENGTH:  # so is --length, in validate
-            raise ConfigError(f"delta {config.delta} makes the grid longer "
+            raise DomainError(f"delta {config.delta} makes the grid longer "
                               f"than {MAX_LENGTH} samples (int64 phases): "
                               "raise --delta or set --length")
     series = build_series(events, grid)
@@ -290,10 +279,10 @@ def selftest() -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Raises parse errors as ConfigError for main; subparsers inherit it."""
+    """Raises parse errors as DomainError for main; subparsers inherit it."""
 
     def error(self, message: str):
-        raise ConfigError(message)
+        raise DomainError(message)
 
 
 def _parse_emit(text: str) -> tuple[str, ...]:
@@ -377,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
             return selftest()
         del args.command
         return run(RunConfig(**vars(args)))
-    except (ConfigError, DomainError, MissedZeroError, ZeroTableError,
-            OSError) as exc:
+    except (DomainError, MissedZeroError, OSError) as exc:
         _log(f"usage error: {exc}")
         return 2

@@ -35,6 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .grid import MangoldtSeries
+from .numtheory import DomainError
 from .spectral import Spectrum, amplitude_phase
 
 __all__ = [
@@ -230,7 +231,7 @@ def _rows(*columns: np.ndarray | None) -> Iterator[bytes]:
     for c in columns:
         if c is not None and c.dtype.kind in "iu" and c.size \
                 and not -10 ** 15 < c.min() <= c.max() < 10 ** 15:
-            raise ValueError("integer cells past 1e15: '%.15g' != '%d'")
+            raise DomainError("integer cells past 1e15: '%.15g' != '%d'")
     for start in range(0, size, CHUNK_ROWS):
         n = min(CHUNK_ROWS, size - start)
         comma, newline = np.full(n, 44, np.uint8), np.full(n, 10, np.uint8)

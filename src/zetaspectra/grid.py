@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import DomainError, EventSequence
+from .numtheory import DomainError, EventSequence, _integer
 
 __all__ = ["GridSpec", "MangoldtSeries", "build_series"]
 
@@ -24,10 +24,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
-        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
-            raise DomainError(f"length must be an integer >= 2, got "
-                              f"{self.length!r}")
+            raise DomainError(f"delta must be finite and > 0, got {self.delta}")
+        if _integer("length", self.length) < 2:
+            raise DomainError(f"length must be >= 2, got {self.length}")
 
     @classmethod
     def for_events(cls, events: EventSequence, delta: float = 1.0) -> "GridSpec":
@@ -60,11 +59,11 @@ class MangoldtSeries:
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
         if arr.shape != (self.grid.length,):
-            raise ValueError(
+            raise DomainError(
                 f"values shape {arr.shape} does not match grid length "
                 f"{self.grid.length}")
         if not np.all((arr == 0.0) | (arr == 1.0)):
-            raise ValueError("values must be 0 or 1")
+            raise DomainError("values must be 0 or 1")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -60,7 +60,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """An argument the package refuses; the CLI maps it to exit status 2."""
 
 
 class MissedZeroError(RuntimeError):
@@ -68,8 +68,15 @@ class MissedZeroError(RuntimeError):
     estimate: the scan could not separate a close pair of zeros there."""
 
 
-class ZeroTableError(ValueError):
+class ZeroTableError(DomainError):
     """Malformed zero-table file (bad literal or broken ordering)."""
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; DomainError unless int or numpy integer, not bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,11 @@ class EventSequence:
     def __post_init__(self):
         arr = np.asarray(self.events, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("events must be one-dimensional")
+            raise DomainError("events must be one-dimensional")
         if not np.all((arr > 0.0) & (arr < math.inf)):
-            raise ValueError("all event locations must be positive and finite")
+            raise DomainError("all event locations must be positive and finite")
         if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            raise ValueError("event locations must be strictly increasing")
+            raise DomainError("event locations must be strictly increasing")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "events", arr)
@@ -100,8 +107,8 @@ class EventSequence:
 
 def sieve_primes(limit: int) -> EventSequence:
     """All primes <= limit, ascending, via the sieve of Eratosthenes."""
-    if limit < 2:
-        raise DomainError(f"prime sieve needs limit >= 2, got {limit}")
+    if not 2 <= limit < np.iinfo(np.intp).max:  # limit + 1 flags, one array
+        raise DomainError(f"sieve limit must be in 2..2^63 - 2, got {limit}")
     limit = int(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, MangoldtSeries
-from .numtheory import DomainError
+from .numtheory import DomainError, _integer
 
 __all__ = [
     "Spectrum",
@@ -58,7 +58,7 @@ class Spectrum:
     def __post_init__(self):
         bins = np.array(self.bins, dtype=complex)
         if bins.shape != (self.source_grid.length,):
-            raise ValueError("bin count must equal the source series length")
+            raise DomainError("bin count must equal the source series length")
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
 
@@ -130,7 +130,7 @@ def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = max(values.size, 1)
     if n > MAX_LENGTH:
-        raise ValueError(f"N = {n} is too large for int64 phase reduction")
+        raise DomainError(f"N = {n} is too large for int64 phase reduction")
     reduced = _integers(indices, "bin indices") % n
     k = np.flatnonzero(values)
     table = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -150,7 +150,7 @@ def dft_direct(values: np.ndarray, grid: GridSpec) -> Spectrum:
     """Forward transform by the literal sum (reference path)."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.length,):
-        raise ValueError("values length must match the grid")
+        raise DomainError("values length must match the grid")
     return Spectrum(direct_bins(values, np.arange(grid.length)), grid)
 
 
@@ -177,10 +177,10 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     ``direct_bins`` reduces every phase exactly before any floating-point
     work, so the check is exact by construction: the difference is 0.0
     unless that index reduction is wrong, which is all it guards; it does
-    not exercise the float arithmetic of the sum. DomainError for a
-    fractional z, where the identity does not hold, for z < 1, for z*N past
-    int64, or unless 0 < tol < inf. Every bin is checked when N times the
-    mark count (taken as at least 1) is at most PERIODICITY_TERMS; otherwise
+    not exercise the float arithmetic of the sum. DomainError for a z that
+    is not an int or a numpy integer (True and 2.0 too), for z < 1, for z*N
+    past int64, or unless 0 < tol < inf. Every bin is checked when N times
+    the mark count (taken as at least 1) is at most PERIODICITY_TERMS; else
     the last PERIODICITY_TERMS // marks bins, at least one, which end at
     N - 1, where l + z*N is largest. Each report gives that count as ``bins``,
     and its error with the tol, from which the caller decides its verdict.
@@ -188,23 +188,23 @@ def periodicity_check(series: MangoldtSeries, z_values: list[int],
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     n = series.grid.length
-    zs = _integers(z_values, "shift multiples")
-    for z in zs.tolist():
+    zs = [_integer("shift multiple", z) for z in z_values]
+    for z in zs:
         if z < 1:
             raise DomainError(f"shift multiples must be positive, got {z}")
         if z > (np.iinfo(np.int64).max - n) // n:
             raise DomainError(f"shift z*N overflows int64, got z = {z}")
-    if not zs.size:
+    if not zs:
         return []
     count = min(n, max(1, PERIODICITY_TERMS // max(series.mark_count, 1)))
     # the base bins and every shift in one sum: shifts reduce to base blocks
-    shifts = np.concatenate([[0], zs]) * n
+    shifts = np.array([0, *zs]) * n
     sums = direct_bins(series.values,
                        (shifts[:, None] + np.arange(n - count, n)).ravel())
     sums = sums.reshape(shifts.size, -1)
     diffs = np.max(np.abs(sums[1:] - sums[0]), axis=1, initial=0.0)
     return [PeriodicityReport(z=z, max_abs_diff=d, tol=tol, bins=count)
-            for z, d in zip(zs.tolist(), diffs.tolist())]
+            for z, d in zip(zs, diffs.tolist())]
 
 
 def conjugate_symmetry_check(spectrum: Spectrum) -> float:

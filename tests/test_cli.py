@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -9,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetaspectra import (EventSequence, GridSpec, analysis, build_series, cli,
-                         dft, spectral)
-from zetaspectra.cli import ConfigError, RunConfig, main, run, selftest
-from zetaspectra.numtheory import DomainError, MissedZeroError
+from zetaspectra import (EventSequence, GridSpec, MangoldtSeries, Spectrum,
+                         analysis, build_series, cli, dft, dft_direct,
+                         spectral)
+from zetaspectra.cli import RunConfig, main, run, selftest
+from zetaspectra.numtheory import DomainError, MissedZeroError, ZeroTableError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -198,6 +200,7 @@ def test_usage_errors_exit_2(tmp_path):
     ("--source", "zeros-file", "--zero-file", "UNDECODABLE"),
     ("--source", "primes", "--limit", "10", "--delta", "1e-320"),
     ("--source", "synthetic", "--gap", "1e-300"),
+    ("--source", "primes", "--limit", "100000000000000000000"),
     # argparse's own errors take the same path as a refused configuration
     ("--source", "nonsense"),
     ("--limit", "2.5"),
@@ -209,8 +212,8 @@ def test_usage_errors_exit_2(tmp_path):
         "k-beyond-grid", "z-beyond-int64", "z-repeated", "t-max-nan",
         "t-max-inf", "delta-nan", "gap-nan", "tol-nan", "tol-inf",
         "undecodable-table", "grid-length-infinite", "train-beyond-array",
-        "source-unknown", "limit-not-int", "z-not-int", "k-not-int",
-        "option-unknown", "no-command"])
+        "limit-beyond-array", "source-unknown", "limit-not-int", "z-not-int",
+        "k-not-int", "option-unknown", "no-command"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     tables = {"MALFORMED": tmp_path / "zeros.txt",
               "UNDECODABLE": tmp_path / "zeros-utf16.txt"}
@@ -240,6 +243,45 @@ def test_the_library_owns_the_rules_run_refuses_after_the_fft():
                            GridSpec(delta=1.0, length=2)))
     with pytest.raises(DomainError, match="3 bins"):
         analysis.frequency_ratio_series(two)
+
+
+GRID4 = GridSpec(delta=1.0, length=4)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: GridSpec(delta=math.nan, length=4),
+    lambda: MangoldtSeries(values=[0.0, 0.5, 1.0, 0.0], grid=GRID4),
+    lambda: EventSequence(np.array([2.0, 1.0])),
+    lambda: Spectrum(bins=np.zeros(3), source_grid=GRID4),
+    lambda: dft_direct(np.zeros(3), GRID4),
+    lambda: analysis.detect_peaks(Spectrum(np.ones(4), GRID4), 2.0),
+], ids=["grid-delta-nan", "series-value-half", "events-decreasing",
+        "spectrum-bin-count", "dft-direct-length", "peaks-threshold"])
+def test_every_library_refusal_is_a_domain_error(refuse):
+    # these were bare ValueErrors, which main did not map to exit 2
+    with pytest.raises(DomainError):
+        refuse()
+
+
+def test_a_zero_table_error_is_a_domain_error():
+    assert issubclass(ZeroTableError, DomainError)
+
+
+def test_every_raise_under_src_is_one_main_maps_to_exit_2():
+    # main catches DomainError (ZeroTableError is one), MissedZeroError and
+    # OSError; ArgumentTypeError is argparse's type hook, which ends in
+    # _Parser.error. Any other raise would reach the user as a traceback.
+    allowed = {"DomainError", "ZeroTableError", "MissedZeroError",
+               "ArgumentTypeError"}
+    raised = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = getattr(node.exc, "func", node.exc)  # X(...) or X
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                raised.append((path.name, node.lineno, name))
+    assert raised
+    assert [r for r in raised if r[2] not in allowed] == []
 
 
 @pytest.mark.parametrize("blocker", ["series.csv", "out"],
@@ -316,22 +358,22 @@ def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
 
 
 def test_run_config_validation_direct():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         RunConfig(threshold_fraction=2.0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         RunConfig(k_terms="many").validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         RunConfig(emit=("series", "bogus")).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         RunConfig(z_values=(0,)).validate()
     # the checks take no tolerance: validate alone refuses a bad one
     for tol in (0.0, math.nan, math.inf, -1.0):
-        with pytest.raises(ConfigError, match="tol"):
+        with pytest.raises(DomainError, match="tol"):
             RunConfig(tol=tol).validate()
     # one positive-and-finite test per float field, named in the message
     for field, value in [("t_max", 0.0), ("t_max", math.inf), ("gap", -1.0),
                          ("delta", 0.0)]:
-        with pytest.raises(ConfigError, match=field.replace("_", "-")):
+        with pytest.raises(DomainError, match=field.replace("_", "-")):
             RunConfig(**{field: value}).validate()
     # 2.7 terms ran as 2, a limit of 100.5 sieved to 100, and z = 1.5 or a
     # length of 100.5 raised after the output directory existed
@@ -339,7 +381,7 @@ def test_run_config_validation_direct():
                          ("k_terms", "2.5"), ("limit", 100.5),
                          ("limit", True), ("z_values", (1.5,)),
                          ("z_values", (1, True)), ("length", 100.5)]:
-        with pytest.raises(ConfigError, match="integer"):
+        with pytest.raises(DomainError, match="integer"):
             RunConfig(**{field: value}).validate()
     # numpy integers pass, and the manifest echoes them as ints
     config = RunConfig(limit=np.int64(100), k_terms=np.int32(5),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zetaspectra import (GridSpec, Spectrum, amplitude_phase,
+from zetaspectra import (DomainError, GridSpec, Spectrum, amplitude_phase,
                          conjugate_symmetry_check, dft, dft_direct,
                          parseval_check, periodicity_check, reconstruct,
                          spectral)
@@ -135,6 +135,15 @@ def test_block_size_at_the_cli_requests(n, marks, count, monkeypatch):
     (b,) = sizes
     assert b > 1
     assert b & (b - 1) == 0 and b * marks <= 2 ** 20
+
+
+@pytest.mark.parametrize("z", [True, 2.0, np.float64(3.0)],
+                         ids=["true", "whole-float", "numpy-float"])
+def test_periodicity_refuses_a_shift_that_is_not_an_integer(z):
+    # each ran as the whole number it equals
+    series = random_indicator(16, np.random.default_rng(1))
+    with pytest.raises(DomainError, match="shift multiple must be an integer"):
+        periodicity_check(series, [z])
 
 
 def test_direct_bins_reduces_indices_up_to_the_int64_edge():
