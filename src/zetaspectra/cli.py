@@ -104,7 +104,7 @@ def _log(msg: str) -> None:
 def _build_events(config: RunConfig) -> tuple[EventSequence, str]:
     """The run's events and a one-line description of where they came from."""
     if config.source == "zeros-computed":
-        return (find_zeros(0.0, config.bound),
+        return (find_zeros(0.0, config.bound, delta=config.delta),
                 f"zeta zeros computed up to t = {config.bound}")
     if config.source == "zeros-file":
         events = load_zeros(config.zero_file)

@@ -345,7 +345,7 @@ def test_the_longest_grid_passes_to_the_series(tmp_path, monkeypatch):
 def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
     # a height where the scan cannot separate a close pair (a run to
     # t = 30000 meets one near 24000, too slow to run here)
-    def missed(t_min, t_max):
+    def missed(t_min, t_max, delta=None):
         raise MissedZeroError(f"found no zeros in ({t_min}, {t_max}]")
 
     monkeypatch.setattr(cli, "find_zeros", missed)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaspectra import numtheory
-from zetaspectra import (DomainError, EventSequence, MissedZeroError,
-                         ZeroTableError, find_zeros, load_zeros,
-                         riemann_siegel_Z, sieve_primes, synthetic_train)
+from zetaspectra import (DomainError, EventSequence, GridSpec,
+                         MissedZeroError, ZeroTableError, build_series,
+                         find_zeros, load_zeros, riemann_siegel_Z,
+                         sieve_primes, synthetic_train)
 
 from zetaspectra.numtheory import (_GRID_BLOCK, _GRID_GROUP, RS_CROSSOVER,
                                    _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
@@ -494,6 +495,44 @@ def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
                           whole[(whole > a) & (whole <= b)])
 
 
+@pytest.mark.parametrize("t_max", [100.0, 1e3, 3e3])
+def test_cell_rule_gives_the_grid_and_series_of_full_refinement(t_max,
+                                                                zeros_3000):
+    # at delta 0.1 and 0.05 the cell edges fall on lattice points
+    ordinates = EventSequence(zeros_3000[zeros_3000 <= t_max])
+    for delta in (1.0, 0.5, 0.25, 0.1, 0.05):
+        values = find_zeros(0.0, t_max, delta=delta)
+        grid = GridSpec.for_events(values, delta=delta)
+        assert grid == GridSpec.for_events(ordinates, delta=delta)
+        assert np.array_equal(build_series(values, grid).values,
+                              build_series(ordinates, grid).values)
+
+
+def test_cell_rule_refines_brackets_that_hold_a_range_end_or_the_top_zero():
+    # 14.1347 lies in the lattice bracket [14.10, 14.15], one cell at
+    # delta 1, whose right end 14.15 is outside (0, 14.14] and inside
+    # (14.14, 30]. At the third t_max the zero of the t_max bracket lies
+    # above t_max, and the right end of the bracket below gives one more
+    # sample than its zero: refining the first and last brackets gets 1578
+    assert len(find_zeros(0.0, 14.14, delta=1.0)) == 1
+    assert len(find_zeros(14.14, 30.0, delta=1.0)) == 2
+    values = find_zeros(0.0, 158.8249940858339, delta=0.1)
+    assert GridSpec.for_events(values, delta=0.1).length == 1577
+
+
+def test_cell_rule_refines_few_brackets(monkeypatch):
+    calls = []
+    scalar = numtheory.riemann_siegel_Z
+
+    def counted(t):
+        calls.append(t)
+        return scalar(t)
+
+    monkeypatch.setattr(numtheory, "riemann_siegel_Z", counted)
+    assert len(find_zeros(0.0, 3000.0, delta=1.0)) == 2469
+    assert 0 < len(calls) < 1000  # 12 487 with every bracket refined
+
+
 def test_coarse_scan_raises_missed_zero(monkeypatch):
     monkeypatch.setattr(numtheory, "_SCAN_STEP", 10.0)
     with pytest.raises(MissedZeroError, match="close pair"):
@@ -508,6 +547,9 @@ def test_find_zeros_domain_errors():
     for t_max in (math.nan, math.inf):
         with pytest.raises(DomainError):
             find_zeros(0.0, t_max)
+    for delta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="delta"):
+            find_zeros(0.0, 30.0, delta=delta)
 
 
 # ---------------------------------------------------------------------------
