@@ -19,24 +19,14 @@ correction:
 The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
 series above; below the crossover a phase error enters Z only to second order.
 
-Zeros are found in two passes. The scan evaluates Z on one fixed lattice
-j * 0.05, anchored at 0, from the last point at or below t_min to the first
-at or above t_max (``_z_grid``), in fixed groups of 1024 points computed
-whole, so each scan value depends on its lattice index alone. Below the
-crossover the main sum of n^(-1/2 - it) over a block of 64 rows is one
-complex exponential per term times one table of rotations
-exp(-i j step log n), and a group's 16 blocks are one complex matrix
-product; the rows from the crossover on go through one ``_z_batch`` call,
-whose every value depends on its own t alone. Each sign change is then
-refined by safeguarded Illinois regula falsi (``_refine``) to a bracket
-1e-9 wide, about five scalar ``riemann_siegel_Z`` calls per zero. Given the
-period delta of the grid the zeros will be marked on, a bracket is refined
-only where its lattice ends leave the zero's grid cell or range test open,
-and for the largest zero kept: at delta = 1 about one bracket in twenty
-(583 scalar calls up to t = 3000, not 12 487). The zero count is checked
-against the smooth counting estimate; a close pair of zeros lost in one
-lattice cell shows only where the count then falls outside the estimate's
-band.
+Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
+n pi, in one batched call, and the intervals of a block with too few sign
+changes halved (Rosser's rule; Brent, Math. Comp. 33, 1979), about 1.25 Z
+values per zero. Each bracket is refined to 1e-9 by two batched rounds of
+regula falsi and then safeguarded Illinois regula falsi, about five scalar
+``riemann_siegel_Z`` calls per zero. Given the grid's period delta, most
+brackets give a value in the zero's grid cell instead, from Z's signs at
+the cell edges: 18 scalar calls up to t = 3000 at delta = 1, not 13 098.
 """
 
 from __future__ import annotations
@@ -68,8 +58,8 @@ class DomainError(ValueError):
 
 
 class MissedZeroError(RuntimeError):
-    """The zeros found in a range are too few or too many for the counting
-    estimate: the scan could not separate a close pair of zeros there."""
+    """Zeros the finder cannot account for: a Gram block short of sign
+    changes after every halving, or a count outside the estimate's band."""
 
 
 class ZeroTableError(DomainError):
@@ -330,9 +320,8 @@ def riemann_siegel_Z(t: float) -> float:
 
 
 # Most terms one block of _z_batch (real, 1 MiB) holds, so the working set
-# stays a few blocks wide whatever the batch's size. _z_grid sends all its
-# rows from RS_CROSSOVER on in one call; at 2^20 its blocks lifted the peak
-# memory of a scan to 3000 by 9 MiB, at 2^17 not at all.
+# stays a few blocks wide whatever the batch's size; at 2^20 the blocks of a
+# zero search to 3000 lifted its peak memory by 9 MiB, at 2^17 not at all.
 _Z_BLOCK_TERMS = 2 ** 17
 
 
@@ -376,66 +365,16 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     return z
 
 
-# Rows per block of _z_grid, each block one row of a group's matrix product,
-# and blocks per group; one table of _GRID_BLOCK rotations serves every group.
-_GRID_BLOCK = 64
-_GRID_GROUP = 16
-
-
-def _z_grid(j0: int, count: int) -> np.ndarray:
-    """Z on the lattice points j * _SCAN_STEP, j0 <= j < j0 + count.
-
-    The points are computed in whole groups of _GRID_GROUP blocks of
-    _GRID_BLOCK rows, which start at lattice multiples of the group size
-    whatever j0 and count, and then sliced out, so each point's value
-    depends on j alone. Below RS_CROSSOVER the Euler-Maclaurin main sum
-    S = sum n^(-1/2 - it) of row j in the block starting at t_b is
-    n^-1/2 exp(-i t_b log n) times exp(-i j _SCAN_STEP log n). The second
-    factor comes from one table for the whole call, so a block costs one
-    complex exponential per term and a group's sums are one complex matrix
-    product. Every row of a block sums to the block's largest cutoff M_b,
-    which only makes the tail's truncation smaller; then
-    Z = Re(exp(i theta) (S + tail)). The rows from RS_CROSSOVER on go to
-    one _z_batch call, whose values depend on their t alone.
-    """
-    rows = _GRID_GROUP * _GRID_BLOCK
-    first = j0 - j0 % rows
-    ts = _SCAN_STEP * np.arange(first, -(-(j0 + count) // rows) * rows)
-    em = int(np.searchsorted(ts, RS_CROSSOVER))
-    z = np.empty(ts.size)
-    z[em:] = _z_batch(ts[em:])
-    t = ts[:em]
-    # each block's cutoff, at its last row below the crossover
-    m = _em_cutoff(t[np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK,
-                                          _GRID_BLOCK), em) - 1])
-    logs, rsqrt = _n_terms(int(m.max(initial=0)))
-    rotation = np.exp(-1j * (_SCAN_STEP * np.arange(_GRID_BLOCK)[:, None])
-                      * logs)
-    s = np.empty((m.size, _GRID_BLOCK), dtype=complex)
-    for b in range(0, m.size, _GRID_GROUP):
-        mg = m[b:b + _GRID_GROUP]
-        width = int(mg[-1])
-        terms = np.exp(-1j * (t[::_GRID_BLOCK][b:b + _GRID_GROUP, None]
-                              * logs[:width]))
-        terms *= rsqrt[:width]
-        terms[np.arange(1, width + 1) > mg[:, None]] = 0.0
-        s[b:b + _GRID_GROUP] = terms @ rotation[:, :width].T
-    tail = _em_tail(0.5 + 1j * t, np.repeat(m, _GRID_BLOCK)[:em])
-    z[:em] = (np.exp(1j * _theta(t)) * (s.ravel()[:em] + tail)).real
-    return z[j0 - first:j0 - first + count]
-
-
 # ---------------------------------------------------------------------------
 # Zero location
 # ---------------------------------------------------------------------------
 
 def _zero_count_estimate(t_max: float) -> int:
-    """Smooth zero-count estimate, rounded half-up.
+    """Smooth zero-count estimate round((T/2pi) log(T/2pi) - T/2pi + 7/8).
 
-    round((T/2pi) log(T/2pi) - T/2pi + 7/8). The neglected fluctuation term
-    stays below one at desk scale, so a correct scan can differ from this
-    estimate by at most one (e.g. the true counts below 30/50/500 are
-    3/10/269 while the estimate gives 4/9/270).
+    The neglected fluctuation term stays below one at desk scale, so a
+    correct count differs from it by at most one (below 30/50/500 the true
+    counts are 3/10/269, the estimate's 4/9/270).
     """
     if t_max <= 0.0:
         return 0
@@ -449,17 +388,17 @@ def _refine(f, a: float, b: float, fa: float, fb: float,
             width: float) -> tuple[float, float]:
     """Shrink the bracket [a, b] of a sign change of f to width <= width.
 
-    Needs a < b and fa * fb < 0. Illinois regula falsi (Dowell & Jarratt,
-    BIT 11, 1971): the secant point replaces the end whose value has the same
-    sign, and when one end is kept twice in a row its stored value is halved,
-    so the secant stops crowding the other end; the end with the smaller
-    |f| counts as the latest iterate, so the first step that replaces it
-    already halves the other end's value. Safeguard: when two Illinois
-    steps in a row leave the bracket wider than half its width before them,
-    the next step bisects, so the width halves at least once every three
-    evaluations. Stops early once no float lies strictly inside the bracket,
-    so a width below the float spacing ends too. Returns the final bracket,
-    which holds the sign change; (x, x) when f(x) == 0 exactly.
+    Needs a < b and fa < 0 <= fb or fb < 0 <= fa. Illinois regula falsi (Dowell
+    & Jarratt, BIT 11, 1971): the secant point replaces the end whose value has
+    the same sign, and when one end is kept twice in a row its stored value is
+    halved, so the secant stops crowding the other end; the end with the
+    smaller |f| counts as the latest iterate, so the first step that replaces
+    it already halves the other end's value. Safeguard: when two Illinois steps
+    in a row leave the bracket wider than half its width before them, the next
+    step bisects, so the width halves at least once every three evaluations.
+    Stops early once no float lies strictly inside the bracket, so a width
+    below the float spacing ends too. Returns the final bracket, which holds
+    the sign change; (x, x) when f(x) == 0 exactly.
     """
     kept = "a" if abs(fb) < abs(fa) else "b"  # the end the last step kept
     start, steps = b - a, 0  # width before the latest Illinois steps; count
@@ -488,37 +427,101 @@ def _refine(f, a: float, b: float, fa: float, fb: float,
     return a, b
 
 
-# The scan lattice j * _SCAN_STEP, anchored at 0, and the width of each
-# zero's final bracket.
-_SCAN_STEP = 0.05
-_ZERO_WIDTH = 1e-9
+# g_-1, where theta = -pi: Z < 0 up to the first zero, 14.13, so it is good.
+_GRAM_START = 9.6669
+# Halving rounds a Gram block may take; up to t = 30000 none takes over five.
+_HALVINGS = 8
+# Brackets narrower than this many grid cells may take cells from edge signs.
+_CELL_EDGES = 8
+_ZERO_WIDTH = 1e-9  # of each zero's final bracket
+
+
+def _gram_points(n: np.ndarray) -> np.ndarray:
+    """g_n, where theta(g_n) = n pi, for integers n >= -1: ten Newton steps,
+    slope (1/2) log(t/2pi), on _theta_series from 2 pi (n + 1/8 + e), above
+    g_n, where theta is increasing and convex. Eight reach the float to an
+    ulp up to n = 1e6; the count is fixed, so g_n depends on n alone.
+    """
+    t = TWO_PI * (n + 0.125 + math.e)
+    for _ in range(10):
+        t = t - (_theta_series(t) - math.pi * n) / (0.5 * np.log(t / TWO_PI))
+    return t
+
+
+def _sign_changes(t_min: float, t_max: float, pad: int = 8):
+    """Points t, ascending, and Z(t), whose sign changes bracket every zero
+    from the last good Gram point at or below t_min (or g_-1) to the first
+    at or above t_max; a Z value of exactly 0 counts as positive.
+
+    g_n is good where (-1)^n Z(g_n) > 0. A Gram block, k intervals from one
+    good point to the next, holds k zeros or more by Rosser's rule (true up
+    to n = 1.4e7, Lehman 1970). A block with fewer sign changes has every
+    interval halved, one _z_batch call a round, up to _HALVINGS rounds; the
+    blocks and halvings depend on n alone, whatever the range.
+    """
+    lo = math.floor(_theta_series(max(t_min, _GRAM_START)) / math.pi)
+    n = np.arange(max(-1, lo - pad),
+                  math.ceil(_theta_series(t_max) / math.pi) + pad + 1)
+    t = _gram_points(n)
+    z = _z_batch(t)
+    good = np.flatnonzero(np.where(n % 2, -z, z) > 0.0)
+    below = good[(t[good] <= t_min) | (n[good] == -1)]
+    above = good[t[good] >= t_max]
+    if not (below.size and above.size):  # a run of bad points past an end
+        return _sign_changes(t_min, t_max, 4 * pad)
+    t, z = t[below[-1]:above[0] + 1], z[below[-1]:above[0] + 1]
+    ends = np.isin(np.arange(below[-1], above[0] + 1), good)
+    need = np.diff(np.flatnonzero(ends))  # Gram intervals per block
+    for depth in itertools.count():
+        change = (z[:-1] < 0.0) != (z[1:] < 0.0)
+        block = np.cumsum(ends[:-1]) - 1
+        short = np.flatnonzero(np.bincount(block, change, need.size) < need)
+        if short.size == 0:
+            return t, z, change
+        if depth == _HALVINGS:
+            a, b = t[ends][short[0]:short[0] + 2]
+            raise MissedZeroError(f"the Gram block [{a}, {b}] shows too few "
+                                  f"sign changes of Z after {depth} halvings")
+        split = np.flatnonzero(np.isin(block, short)) + 1
+        mid = 0.5 * (t[split - 1] + t[split])
+        t, z = np.insert(t, split, mid), np.insert(z, split, _z_batch(mid))
+        ends = np.insert(ends, split, False)
+
+
+def _cell_values(a, b, fa, delta):
+    """For brackets [a, b] of a zero each, from Z at the cell edges (k - 1/2)
+    delta inside them (one _z_batch call): the midpoint of the part in the
+    cell floor(x/delta + 1/2) where the sign flips, and whether an edge value
+    is below 1e-6 (2800 times the worst error of Z to 1e5) and so in doubt.
+    """
+    first = np.floor(a / delta + 0.5)
+    count = (np.floor(b / delta + 0.5) - first).astype(int)  # edges inside
+    owner = np.repeat(np.arange(a.size), count)
+    k = (first + 1 - count.cumsum() + count)[owner] + np.arange(owner.size)
+    fe = _z_batch((k - 0.5) * delta)
+    cell = first + np.bincount(owner, (fe < 0.0) == (fa[owner] < 0.0), a.size)
+    doubt = np.bincount(owner, np.abs(fe) < 1e-6, a.size) > 0
+    return 0.5 * (np.maximum(a, (cell - 0.5) * delta)
+                  + np.minimum(b, (cell + 0.5) * delta)), doubt
 
 
 def find_zeros(t_min: float, t_max: float,
                delta: float | None = None) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
-    Z is evaluated by _z_grid on the lattice j * _SCAN_STEP from the last
-    lattice point at or below t_min to the first at or above t_max, so
-    (t_min, t_max] holds exactly the zeros of (0, B] in it, for any
-    B >= t_max. Each bracket is refined by safeguarded Illinois regula
-    falsi, with about five scalar riemann_siegel_Z calls, to a sign-change
-    bracket at most _ZERO_WIDTH wide; the zero is its midpoint. A lattice
-    point where Z is exactly 0 is a zero too; it ends no sign-change
-    bracket, so no refined zero repeats it. The smooth counting estimate is
-    good to +-1 per endpoint: a count off by more than 1 from it (2 for a
-    range that does not start at 0) raises MissedZeroError.
+    The brackets come from Gram blocks (_sign_changes), whatever the ends, so
+    (t_min, t_max] holds exactly the zeros of (0, B] in it, for any B >=
+    t_max. Each is narrowed by two rounds of regula falsi, one _z_batch call
+    each, then by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero
+    is the midpoint. A count off by more than 1 from the smooth counting
+    estimate (2 for a range not from 0) raises MissedZeroError.
 
-    With delta, the period of the grid the zeros are meant for, a bracket
-    is refined only where its two lattice ends fall in different cells
-    floor(x/delta + 1/2), where it holds t_min or t_max strictly inside,
-    or where it holds the largest zero kept. Any other bracket gives a
-    cell-rule value in place of its ordinate: its right lattice end, which
-    lies in the zero's cell and, like the zero, in (t_min, t_max]. So the
-    count, the cell of every value and the largest value (an ordinate, so
-    ceil(max/delta) too) are those of the ordinates, and
-    GridSpec.for_events and build_series at that delta give the same grid
-    and series.
+    With delta, the grid's period, every value lies in its zero's cell
+    floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
+    ordinate; the others need not be, so the grid and series at delta are
+    those of the ordinates. A bracket narrower than _CELL_EDGES cells takes
+    its value from _cell_values, unless it holds t_min or t_max, an edge
+    value is in doubt, or it is one of the top two brackets.
     """
     if not 0.0 <= t_min < t_max < math.inf:
         raise DomainError(
@@ -526,36 +529,33 @@ def find_zeros(t_min: float, t_max: float,
     if delta is not None and not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be finite and > 0, got {delta}")
 
-    j0 = int(t_min // _SCAN_STEP)
-    j1 = int(-(-t_max // _SCAN_STEP))
-    ts = _SCAN_STEP * np.arange(j0, j1 + 1)
-    vals = _z_grid(j0, j1 + 1 - j0)
-
-    zeros = ts[vals == 0.0].tolist()
-    brackets = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    one_cell = np.zeros(brackets.size, dtype=bool)
-    if delta is not None:  # both ends in one cell floor(x/delta + 1/2)
-        lo, hi = np.floor(ts[[brackets, brackets + 1]] / delta + 0.5)
-        one_cell = lo == hi
-    top = True  # no zero kept above this bracket yet
-    for i, coarse in zip(brackets[::-1], one_cell[::-1]):
-        a, b = float(ts[i]), float(ts[i + 1])
-        if coarse and not top and not (a < t_min < b or a < t_max < b):
-            zeros.append(b)
-            continue
-        a, b = _refine(riemann_siegel_Z, a, b, float(vals[i]),
-                       float(vals[i + 1]), _ZERO_WIDTH)
-        zeros.append(0.5 * (a + b))
-        top = top and not t_min < zeros[-1] <= t_max
-    zeros = sorted(z for z in zeros if t_min < z <= t_max)
+    t, z, change = _sign_changes(t_min, max(t_max, _GRAM_START))
+    i = np.flatnonzero(change & (t[1:] > t_min) & (t[:-1] < t_max))
+    a, b, fa, fb = t[i], t[i + 1], z[i], z[i + 1]
+    values = np.empty(i.size)
+    refine = np.ones(i.size, dtype=bool)
+    if delta is not None:
+        cells = (b - a < _CELL_EDGES * delta) & (a >= t_min) & (b <= t_max)
+        cells[-2:] = False  # the top bracket's zero may lie above t_max
+        values[cells], refine[cells] = _cell_values(a[cells], b[cells],
+                                                    fa[cells], delta)
+    a, b, fa, fb = a[refine], b[refine], fa[refine], fb[refine]
+    for _ in range(2):
+        x = a - fa * (b - a) / (fb - fa)
+        fx = _z_batch(x)
+        left = (fx < 0.0) == (fa < 0.0)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+    values[refine] = [0.5 * sum(_refine(riemann_siegel_Z, *e, _ZERO_WIDTH))
+                      for e in zip(a.tolist(), b.tolist(), fa.tolist(),
+                                   fb.tolist())]
+    zeros = values[(values > t_min) & (values <= t_max)]
 
     expected = _zero_count_estimate(t_max) - _zero_count_estimate(t_min)
-    if abs(len(zeros) - expected) > (1 if t_min == 0.0 else 2):
-        raise MissedZeroError(
-            f"found {len(zeros)} zeros in ({t_min}, {t_max}] but the "
-            f"counting estimate gives {expected}; the scan cannot separate "
-            f"a close pair of zeros at this height")
-    return EventSequence(np.array(zeros))
+    if abs(zeros.size - expected) > (1 if t_min == 0.0 else 2):
+        raise MissedZeroError(f"found {zeros.size} zeros in ({t_min}, {t_max}]"
+                              f" but the counting estimate gives {expected}")
+    return EventSequence(zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,61 @@ def zetazero_mpmath(n: int) -> float:
     return float(mp.zetazero(n).imag)
 
 
+def gram_offset_mpmath(t: float, n: int) -> float:
+    """theta(t) - n pi at 30 digits: 0 at the Gram point g_n."""
+    with mp.workdps(30):
+        return float(mp.siegeltheta(t) - n * mp.pi)
+
+
+def explicit_formula_zero_side(ordinates, t0: float,
+                               sigma: float = 2.0) -> float:
+    """sum h(gamma) over the zeros 1/2 + i gamma and their conjugates, for
+    the positive ordinates given and h(r) = exp(-(r - t0)^2 / (2 sigma^2))
+    + exp(-(r + t0)^2 / (2 sigma^2)); the second Gaussian is dropped, below
+    exp(-t0^2 / (2 sigma^2)) at every ordinate."""
+    return 2.0 * math.fsum(math.exp(-(g - t0) ** 2 / (2.0 * sigma ** 2))
+                           for g in ordinates)
+
+
+def explicit_formula_prime_side(t0: float, sigma: float = 2.0,
+                                limit: int = 200) -> float:
+    """The other side of Weil's explicit formula (Iwaniec & Kowalski,
+    Analytic Number Theory, ch. 5) for the h of explicit_formula_zero_side:
+
+        h(i/2) + h(-i/2) - g(0) log pi
+        + (1/2pi) int h(r) Re psi(1/4 + i r/2) dr
+        - 2 sum_n Lambda(n) n^(-1/2) g(log n),
+
+    g(u) = (1/2pi) int h(r) exp(-i r u) dr
+         = 2 sigma (2 pi)^(-1/2) exp(-sigma^2 u^2 / 2) cos(t0 u).
+
+    Both h and Re psi are even, so the integral is twice the one over the
+    Gaussian at +t0, taken 12 sigma each side of it. Over n > limit,
+    g(log n) is below exp(-14) n^(-1/2) at the defaults.
+    """
+    with mp.workdps(20):
+        t0, sigma = mp.mpf(t0), mp.mpf(sigma)
+
+        def h(r):
+            return (mp.exp(-(r - t0) ** 2 / (2 * sigma ** 2))
+                    + mp.exp(-(r + t0) ** 2 / (2 * sigma ** 2)))
+
+        def g(u):
+            return (2 * sigma / mp.sqrt(2 * mp.pi)
+                    * mp.exp(-sigma ** 2 * u ** 2 / 2) * mp.cos(t0 * u))
+
+        gamma = mp.quad(lambda r: mp.exp(-(r - t0) ** 2 / (2 * sigma ** 2))
+                        * mp.re(mp.digamma(mp.mpf(1) / 4 + 0.5j * r)),
+                        [t0 - 12 * sigma, t0, t0 + 12 * sigma]) / mp.pi
+        primes = mp.fsum(mp.log(p) / mp.sqrt(q) * g(mp.log(q))
+                         for p in trial_division_primes(limit)
+                         for q in (p ** k for k in range(1, limit.bit_length()))
+                         if q <= limit)
+        total = (h(0.5j) + h(-0.5j) - g(0) * mp.log(mp.pi) + gamma
+                 - 2 * primes)
+        return float(mp.re(total))
+
+
 def nzeros_mpmath(t: float) -> int:
     """Number of zeros with ordinate in (0, t]."""
     return int(mp.nzeros(t))

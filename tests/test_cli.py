@@ -343,8 +343,8 @@ def test_the_longest_grid_passes_to_the_series(tmp_path, monkeypatch):
 
 
 def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
-    # a height where the scan cannot separate a close pair (a run to
-    # t = 30000 meets one near 24000, too slow to run here)
+    # a finder that cannot account for every zero, say a Gram block that
+    # stays short after every halving; stubbed, since none is in reach
     def missed(t_min, t_max, delta=None):
         raise MissedZeroError(f"found no zeros in ({t_min}, {t_max}]")
 

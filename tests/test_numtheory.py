@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,14 +11,15 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train)
 
-from zetaspectra.numtheory import (_GRID_BLOCK, _GRID_GROUP, RS_CROSSOVER,
-                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
-                                   _refine, _rs_terms, _theta_exact, _z_batch,
-                                   _z_grid, _zero_count_estimate)
+from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _ZERO_WIDTH,
+                                   _gram_points, _refine, _rs_terms,
+                                   _theta_exact, _z_batch,
+                                   _zero_count_estimate)
 
 from conftest import ZEROS_BELOW_100
-from oracles import (Z_mpmath, Z_oracle, nzeros_mpmath,
-                     rs_remainder_terms_mpmath, theta_mpmath,
+from oracles import (Z_mpmath, Z_oracle, explicit_formula_prime_side,
+                     explicit_formula_zero_side, gram_offset_mpmath,
+                     nzeros_mpmath, rs_remainder_terms_mpmath, theta_mpmath,
                      trial_division_primes, zeta_mpmath, zetazero_mpmath)
 
 # True zero counts below T (multiprecision oracle), next to what the smooth
@@ -207,113 +207,10 @@ def test_batched_Z_does_not_depend_on_the_block_size(monkeypatch):
     assert np.array_equal(_z_batch(ts), batch)
 
 
-def _grid_rows(j0, count):
-    """The lattice j * _SCAN_STEP for 0 <= j < j0 + count, the index of its
-    first point at or above the crossover, each lattice block's cutoff (at
-    its last row below the crossover), the index of the first block of the
-    group after j0's, and the rows from j0 on to check: the first and last
-    rows of the first blocks, of a middle block, of the blocks on both sides
-    of that group boundary and of the last block below the crossover; rows
-    below t = 10; the rows on both sides of the crossover."""
-    ts = numtheory._SCAN_STEP * np.arange(j0 + count)
-    em = int(np.sum(ts < RS_CROSSOVER))
-    ends = np.minimum(np.arange(_GRID_BLOCK, em + _GRID_BLOCK, _GRID_BLOCK),
-                      em)
-    m = _em_cutoff(ts[ends - 1])
-    first = j0 // _GRID_BLOCK
-    # groups of _GRID_GROUP blocks start at lattice multiples (see _z_grid)
-    boundary = (first // _GRID_GROUP + 1) * _GRID_GROUP
-    picked = {first, first + 1, first + 2, (first + m.size) // 2,
-              boundary - 1, boundary, m.size - 1}
-    rows = {r for b in picked if b < m.size
-            for r in (b * _GRID_BLOCK, ends[b] - 1)}
-    rows |= set(np.flatnonzero(ts < 10.0)[::40].tolist())
-    rows |= {em - 1, em}
-    return ts, em, m, boundary, sorted(r for r in rows if r >= j0)
-
-
-# Starts of the slices that must equal the whole grid's points: inside the
-# first group, inside a later one, and in the last block below the crossover
-# at step 0.05; each slice ends inside a group.
-SLICE_STARTS = (370, 5000, 19979)
-SLICE_COUNT = 2000
-
-
-def _assert_slices_match(whole):
-    for j0 in SLICE_STARTS:
-        assert (j0 + SLICE_COUNT) % (_GRID_GROUP * _GRID_BLOCK) != 0
-        assert np.array_equal(_z_grid(j0, SLICE_COUNT),
-                              whole[j0:j0 + SLICE_COUNT]), j0
-
-
-@pytest.mark.parametrize("t_min, step, t_max", [(0.0, 0.01, 1100.0),
-                                                (3.7, 0.0073, 1100.0)])
-def test_grid_Z_within_error_model_of_multiprecision(t_min, step, t_max,
-                                                     monkeypatch):
-    # Row j of the block that starts at row t_b sums the terms n^-1/2
-    # exp(-i t_b log n) exp(-i j step log n) to the block's cutoff M; the
-    # phases round as in test_Z_within_error_model_of_multiprecision, to
-    # u t log M sqrt(log M + 0.58). Near t = 0 that vanishes, and what is
-    # left is the arithmetic on each term: its exponential, the scaling, the
-    # table entry, the product and the sum each add at most about u of the
-    # term's size n^-1/2, 5 u sum n^-1/2 in all. The rotation stands for the
-    # point t_b + j step, while theta and the tail are taken at the row's
-    # float t: the sum S moves by at most |t_b + j step - t| |S'| between
-    # them, and |S'| <= sum_{n <= M} log n / sqrt n. From the crossover on
-    # the rows are _z_batch's, within that test's 1e-10.
-    monkeypatch.setattr(numtheory, "_SCAN_STEP", step)
-    j0 = int(t_min // step)
-    count = 1 + math.ceil((t_max - j0 * step) / step)
-    ts, em, m, boundary, rows = _grid_rows(j0, count)
-    assert boundary < m.size  # the rows checked span more than one group
-    z = _z_grid(j0, count)
-    u = 2.0 ** -53
-    for i in rows:
-        err = abs(z[i - j0] - Z_mpmath(float(ts[i])))
-        if i >= em:
-            assert err < 1e-10, ts[i]
-            continue
-        b, j = divmod(i, _GRID_BLOCK)
-        mb = int(m[b])
-        logm = math.log(mb)
-        n = np.arange(1, mb + 1)
-        offset = abs(Fraction(float(ts[b * _GRID_BLOCK])) + j * Fraction(step)
-                     - Fraction(float(ts[i])))
-        bound = (u * ts[i] * logm * math.sqrt(logm + 0.58)
-                 + 5 * u * np.sum(1.0 / np.sqrt(n))
-                 + float(offset) * np.sum(np.log(n) / np.sqrt(n)))
-        assert err <= bound, (ts[i], err, bound)
-    # the groups lie on the lattice: whatever a call's start and end, its
-    # points equal those of the call from 0, bit for bit
-    whole = _z_grid(0, j0 + count)
-    assert np.array_equal(z, whole[j0:])
-    _assert_slices_match(whole)
-
-
-def test_grid_Z_signs_match_batch_on_the_scan_grid():
-    # find_zeros' grid on [0, 3000]: the brackets it refines are the same
-    count = 60001
-    ts = 0.05 * np.arange(count)
-    z = _z_grid(0, count)
-    batch = _z_batch(ts)
-    assert np.array_equal(np.sign(z), np.sign(batch))
-    # from the crossover on the grid's rows are _z_batch's, bit for bit
-    rs = ts >= RS_CROSSOVER
-    assert np.array_equal(z[rs], batch[rs])
-    # a start in the last block below the crossover, where that block alone
-    # would be a one-row product, gives the same points bit for bit, and so
-    # do slices that start and end inside groups
-    assert np.array_equal(_z_grid(19979, count - 19979), z[19979:])
-    _assert_slices_match(z)
-
-
 @pytest.mark.parametrize("t_max, count", [(98.84, 29), (98.831, 28)])
-def test_find_zeros_where_the_step_does_not_divide_the_range(t_max, count):
-    # the scan ends at the first lattice point at or above t_max, 98.85, so
-    # the last cell is [98.80, 98.85] for both: it brackets the zero at
-    # 98.8312, which lies below the first t_max and above the second, where
-    # the refined zero is dropped
-    assert np.sign(Z_mpmath(98.85)) != np.sign(Z_mpmath(98.8))
+def test_find_zeros_where_t_max_lies_next_to_a_zero(t_max, count):
+    # one bracket holds the zero at 98.8312 and both t_max: it lies below
+    # the first and above the second, where the refined zero is dropped
     found = find_zeros(3.7, t_max)
     assert len(found) == count
     for n, got in enumerate(found.events, 1):
@@ -387,8 +284,9 @@ def test_found_zeros_within_final_width_of_multiprecision_zeros():
 
 
 def test_refinement_calls_scalar_Z_a_few_times_per_zero(monkeypatch):
-    # the scan is batched; only the refinement goes through the module
-    # attribute, where a caller (or a tracer) can count it
+    # the Gram blocks and two regula falsi rounds are batched; only the
+    # last refinement goes through the module attribute, where a caller (or
+    # a tracer) can count it: 5.3 calls per zero
     calls = []
     scalar = numtheory.riemann_siegel_Z
 
@@ -446,8 +344,8 @@ def test_refine_ends_when_no_float_is_left_inside():
 
 
 def test_lehmer_pair_is_found():
-    # the pair at 7005.0629 and 7005.1006 falls in two lattice cells; a
-    # lattice anchored at t_min = 7000.055 put both in one
+    # the pair at 7005.0629 and 7005.1006, 0.038 apart; a scan lattice of
+    # step 0.05 anchored at t_min = 7000.055 put both in one cell
     expected = nzeros_mpmath(7010.0) - nzeros_mpmath(7000.055)
     assert expected == 11
     assert len(find_zeros(7000.055, 7010.0)) == expected
@@ -461,7 +359,7 @@ def test_interior_range():
 
 def test_count_band_tolerates_estimate_jitter():
     # endpoints just past a zero sit where the smooth estimate is off by one;
-    # the consistency band must not trip on a correct scan
+    # the consistency band must not trip on a correct count
     assert len(find_zeros(0.0, 14.5)) == 1
     assert len(find_zeros(14.3, 30.0)) == 2
 
@@ -469,8 +367,9 @@ def test_count_band_tolerates_estimate_jitter():
 @pytest.mark.parametrize("a", [3.7, 14.13, 50.01, 77.77, 150.0, 1500.3,
                                2500.1])
 def test_zeros_do_not_depend_on_where_the_range_starts(a):
-    # the lattice and its blocks are anchored at 0, so (a, t_max] is scanned
-    # with the values of (0, t_max] above a and holds the same zeros
+    # the Gram blocks, their halvings and each bracket's refinement depend
+    # on the Gram index alone, so (a, t_max] holds the zeros of (0, t_max]
+    # above a
     t_max = 3000.0 if a > RS_CROSSOVER else 200.0
     whole = find_zeros(0.0, t_max).events
     assert np.array_equal(find_zeros(a, t_max).events, whole[whole > a])
@@ -486,10 +385,9 @@ def zeros_3000():
                                   (0.0, 2930.712), (3.7, 98.84),
                                   (77.77, 1420.417), (1500.3, 2930.712)])
 def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
-    # the scan ends on the lattice, at its first point at or above b, and
-    # each point's value depends on its lattice index alone, so (a, b] holds
-    # exactly the zeros of (0, 3000] in (a, b]; the b just past a zero put
-    # that zero in the last cell
+    # the brackets end at the first good Gram point at or above b, and each
+    # depends on its Gram index alone, so (a, b] holds exactly the zeros of
+    # (0, 3000] in (a, b]; each b lies just past a zero
     whole = zeros_3000
     assert np.array_equal(find_zeros(a, b).events,
                           whole[(whole > a) & (whole <= b)])
@@ -498,7 +396,8 @@ def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
 @pytest.mark.parametrize("t_max", [100.0, 1e3, 3e3])
 def test_cell_rule_gives_the_grid_and_series_of_full_refinement(t_max,
                                                                 zeros_3000):
-    # at delta 0.1 and 0.05 the cell edges fall on lattice points
+    # at delta 0.1 and 0.05 a bracket about 1 wide holds more than
+    # _CELL_EDGES edges above t = 1000 and is refined
     ordinates = EventSequence(zeros_3000[zeros_3000 <= t_max])
     for delta in (1.0, 0.5, 0.25, 0.1, 0.05):
         values = find_zeros(0.0, t_max, delta=delta)
@@ -509,11 +408,13 @@ def test_cell_rule_gives_the_grid_and_series_of_full_refinement(t_max,
 
 
 def test_cell_rule_refines_brackets_that_hold_a_range_end_or_the_top_zero():
-    # 14.1347 lies in the lattice bracket [14.10, 14.15], one cell at
-    # delta 1, whose right end 14.15 is outside (0, 14.14] and inside
-    # (14.14, 30]. At the third t_max the zero of the t_max bracket lies
-    # above t_max, and the right end of the bracket below gives one more
-    # sample than its zero: refining the first and last brackets gets 1578
+    # 14.1347 lies in the Gram bracket [9.67, 17.85], which holds t_max in
+    # the first call and t_min in the second. At the third t_max, 158.825,
+    # the bracket [158.35, 160.30] holds it and the zero 158.850 above it,
+    # so the largest zero kept, 157.598, lies in the bracket below; its cell
+    # value 157.6, the middle of cell 1576, gives ceil(157.6 / 0.1) = 1577
+    # and one more sample than its zero: refining only the top bracket gets
+    # 1578
     assert len(find_zeros(0.0, 14.14, delta=1.0)) == 1
     assert len(find_zeros(14.14, 30.0, delta=1.0)) == 2
     values = find_zeros(0.0, 158.8249940858339, delta=0.1)
@@ -530,13 +431,76 @@ def test_cell_rule_refines_few_brackets(monkeypatch):
 
     monkeypatch.setattr(numtheory, "riemann_siegel_Z", counted)
     assert len(find_zeros(0.0, 3000.0, delta=1.0)) == 2469
-    assert 0 < len(calls) < 1000  # 12 487 with every bracket refined
+    assert 0 < len(calls) < 1000  # 13 098 with every bracket refined
 
 
-def test_coarse_scan_raises_missed_zero(monkeypatch):
-    monkeypatch.setattr(numtheory, "_SCAN_STEP", 10.0)
-    with pytest.raises(MissedZeroError, match="close pair"):
-        find_zeros(0.0, 50.0)
+@pytest.mark.parametrize("delta", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("a, b", [(0.0, 3000.0), (1500.3, 2930.712)])
+def test_cell_values_lie_in_the_cells_of_the_ordinates(a, b, delta,
+                                                       zeros_3000):
+    # the contract of find_zeros(..., delta): every value lies in its
+    # zero's cell floor(x/delta + 1/2) and in (a, b], and the largest value
+    # is the refined top zero
+    ordinates = zeros_3000[(zeros_3000 > a) & (zeros_3000 <= b)]
+    values = find_zeros(a, b, delta=delta).events
+    assert values.size == ordinates.size
+    assert np.all((values > a) & (values <= b))
+    assert np.array_equal(np.floor(values / delta + 0.5),
+                          np.floor(ordinates / delta + 0.5))
+    assert values[-1] == ordinates[-1]
+
+
+def test_gram_points_against_multiprecision():
+    # theta(g_n) = n pi, at both ends of the heights in reach and between;
+    # the asymptotic phase series is good to 4.6e-9 at g_-1 = 9.6669
+    n = np.concatenate([[-1, 0, 1, 2, 125, 126], np.geomspace(10, 1e5, 12)])
+    n = n.astype(int)
+    g = _gram_points(n)
+    assert abs(g[0] - 9.6669) < 1e-4 and np.all(np.diff(g[:6]) > 0)
+    worst = max(abs(gram_offset_mpmath(float(t), int(k)))
+                for t, k in zip(g, n))
+    assert worst < 1e-8
+
+
+@pytest.fixture(scope="module")
+def zeros_22500_25000():
+    return find_zeros(22500.0, 25000.0).events
+
+
+def test_find_zeros_separates_the_close_pair_near_24182(zeros_22500_25000):
+    # a scan lattice of step 0.05 lost a close pair here without an error
+    # (3276 zeros); every Gram block resolves
+    want = nzeros_mpmath(25000.0) - nzeros_mpmath(22500.0)
+    assert want == 3278
+    assert zeros_22500_25000.size == want
+
+
+def test_find_zeros_counts_every_zero_to_30000():
+    # mpmath.nzeros(30000); the 0.05 lattice raised MissedZeroError here
+    assert len(find_zeros(0.0, 30000.0, delta=1.0)) == 35673
+
+
+def test_unresolved_gram_block_raises_missed_zero(monkeypatch):
+    # g_126 near t = 282.45 is the first bad Gram point: its block is
+    # short until halved, and no halving is allowed here
+    assert len(find_zeros(0.0, 300.0)) == nzeros_mpmath(300.0)
+    monkeypatch.setattr(numtheory, "_HALVINGS", 0)
+    with pytest.raises(MissedZeroError, match="Gram block"):
+        find_zeros(0.0, 300.0)
+
+
+@pytest.mark.parametrize("t0", [1e3, 1e4, 24182.1])
+def test_ordinates_satisfy_the_explicit_formula(t0, zeros_3000,
+                                                zeros_22500_25000):
+    # Weil's explicit formula with two Gaussians (sigma = 2) at +-t0: the
+    # zeros within about 15 of t0 against the primes below 200. A zero
+    # within 2 sigma of t0 adds at least 2 exp(-2) = 0.27; the pair lost
+    # near 24182.1 put the sum off by 4.0
+    zeros = {1e3: zeros_3000, 24182.1: zeros_22500_25000}.get(t0)
+    if zeros is None:
+        zeros = find_zeros(t0 - 25.0, t0 + 25.0).events
+    assert abs(explicit_formula_zero_side(zeros, t0)
+               - explicit_formula_prime_side(t0)) < 1e-8
 
 
 def test_find_zeros_domain_errors():
