@@ -6,9 +6,10 @@ routes, each a sum of real cosines sum n^-1/2 cos(theta - t log n) plus a
 correction:
 
 * below ``RS_CROSSOVER``, Euler-Maclaurin summation: the cosines over
-  n <= M = max(20, ceil(0.8 t)) plus Re(exp(i theta) * the Euler-Maclaurin
-  tail); cost grows linearly with t. The tail's truncation is below 1e-19,
-  so the error is the phases' rounding, measured at most 1.5e-12;
+  n <= M = max(20, ceil(0.4 t)) plus Re(exp(i theta) * the Euler-Maclaurin
+  tail to 16 terms); cost grows linearly with t. Backlund's bound on the
+  tail's truncation is at most 6.7e-14, so the error is the phases'
+  rounding, measured at most 1.2e-12;
 * from ``RS_CROSSOVER`` on, the Riemann-Siegel formula: twice the cosines
   over n <= floor(sqrt(t/2pi)) plus the remainder terms C0..C4, read from a
   table of their power series in p = frac(sqrt(t/2pi)) (``_RS_SERIES``,
@@ -100,17 +101,18 @@ class EventSequence:
 # ---------------------------------------------------------------------------
 
 def sieve_primes(limit: int) -> EventSequence:
-    """All primes <= limit, ascending, via the sieve of Eratosthenes."""
-    if not 2 <= limit < np.iinfo(np.intp).max:  # limit + 1 flags, one array
+    """All primes <= limit, ascending, via the sieve of Eratosthenes on the
+    odd numbers: flag i stands for 2i + 1, but flag 0 for 2, not 1."""
+    if not 2 <= limit < np.iinfo(np.intp).max:  # each odd n <= limit an intp
         raise DomainError(f"sieve limit must be in 2..2^63 - 2, got {limit}")
     limit = int(limit)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    primes = np.nonzero(flags)[0].astype(float)
-    return EventSequence(primes)
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2:: p] = False
+    primes = 2 * np.flatnonzero(flags) + 1
+    primes[0] = 2
+    return EventSequence(primes.astype(float))
 
 
 def synthetic_train(gap: float, t_max: float) -> EventSequence:
@@ -129,18 +131,21 @@ def synthetic_train(gap: float, t_max: float) -> EventSequence:
 # zeta(1/2 + i t) by Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
 
-# Bernoulli numbers B_{2k} as (numerator, denominator) for k = 1..12.
+# Bernoulli numbers B_{2k} as (numerator, denominator) for k = 1..16;
+# tools/rs_coefficients.py --check compares them with mpmath.bernfrac.
 _BERNOULLI_RATIOS = [
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
     (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-    (-236364091, 2730),
+    (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+    (8615841276005, 14322), (-7709321041217, 510),
 ]
 _EM_COEF = [p / q / math.factorial(2 * (k + 1))
             for k, (p, q) in enumerate(_BERNOULLI_RATIOS)]
-_EM_TERMS = 12
-# Summation cutoff M = max(20, ceil(0.8 t)) keeps the correction series
-# decreasing fast enough for ~1e-12 absolute error up to t ~ 5000.
-_EM_M_FACTOR = 0.8
+_EM_TERMS = 16
+# Cutoff M = max(20, ceil(0.4 t)): with 16 tail terms Backlund's remainder
+# bound (Edwards, Riemann's Zeta Function, 6.4) stays at most 6.7e-14 below
+# RS_CROSSOVER, worst at t = 50, against ~1e-12 of rounding.
+_EM_M_FACTOR = 0.4
 
 _n_cache = np.empty((2, 0))
 
@@ -167,7 +172,7 @@ def _cos_sum(t, theta, m):
 
 
 def _em_cutoff(t):
-    """Summation cutoff M = max(20, ceil(0.8 t)), for one t or an array."""
+    """Summation cutoff M = max(20, ceil(0.4 t)), for one t or an array."""
     return np.maximum(20, np.ceil(_EM_M_FACTOR * t)).astype(int)
 
 

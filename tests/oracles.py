@@ -13,6 +13,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 20
 
@@ -56,6 +57,16 @@ def trial_division_primes(limit):
     return primes
 
 
+def trial_division_prime_array(limit):
+    """trial_division_primes(limit) as an int array, tried at once for every
+    n: n is prime unless a prime d <= sqrt(limit), d != n, divides it."""
+    n = np.arange(2, limit + 1)
+    prime = np.ones(n.size, dtype=bool)
+    for d in trial_division_primes(math.isqrt(limit)):
+        prime &= (n % d != 0) | (n == d)
+    return n[prime]
+
+
 def prime_powers(limit):
     """Every p^k <= limit (p prime, k >= 1), ascending."""
     powers = []
@@ -89,6 +100,24 @@ def zeta_half_oracle(t: float) -> complex:
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         mpow /= m * m
     return total
+
+
+def em_remainder_bound_mpmath(t: float, m: int, terms: int) -> float:
+    """Backlund's bound on the Euler-Maclaurin remainder of zeta(s), s =
+    1/2 + i t, after the first m terms and `terms` Bernoulli corrections
+    (Edwards, Riemann's Zeta Function, 6.4):
+
+        |R_K| <= |s + 2K + 1| / (sigma + 2K + 1) |T_{K+1}|,
+        T_j = B_2j / (2j)! s (s + 1) ... (s + 2j - 2) m^(-s - 2j + 1).
+    """
+    with mp.workdps(30):
+        s = mp.mpc(0.5, t)
+        j = terms + 1
+        rising = mp.fprod(s + i for i in range(2 * j - 1))
+        term = (mp.bernoulli(2 * j) / mp.factorial(2 * j) * rising
+                * mp.power(m, -s - 2 * j + 1))
+        return float(abs(s + 2 * terms + 1) / (s.real + 2 * terms + 1)
+                     * abs(term))
 
 
 def Z_oracle(t: float) -> float:

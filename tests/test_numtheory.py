@@ -1,5 +1,7 @@
+import bisect
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,19 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train)
 
-from zetaspectra.numtheory import (RS_CROSSOVER, _Z_BLOCK_TERMS, _ZERO_WIDTH,
+from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS, RS_CROSSOVER,
+                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
                                    _gram_points, _refine, _rs_terms,
                                    _theta_exact, _z_batch,
                                    _zero_count_estimate)
 
 from conftest import ZEROS_BELOW_100
-from oracles import (Z_mpmath, Z_oracle, explicit_formula_prime_side,
-                     explicit_formula_zero_side, gram_offset_mpmath,
-                     nzeros_mpmath, rs_remainder_terms_mpmath, theta_mpmath,
-                     trial_division_primes, zeta_mpmath, zetazero_mpmath)
+from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
+                     explicit_formula_prime_side, explicit_formula_zero_side,
+                     gram_offset_mpmath, nzeros_mpmath,
+                     rs_remainder_terms_mpmath, theta_mpmath,
+                     trial_division_prime_array, trial_division_primes,
+                     zeta_mpmath, zetazero_mpmath)
 
 # True zero counts below T (multiprecision oracle), next to what the smooth
 # counting estimate rounds to; they may differ by one, never more.
@@ -49,6 +54,23 @@ def test_sieve_rejects_empty_domain(limit):
 
 def test_sieve_matches_trial_division_exhaustively():
     assert list(sieve_primes(10 ** 4).events) == trial_division_primes(10 ** 4)
+
+
+def test_sieve_matches_trial_division_at_every_limit_to_2000():
+    primes = trial_division_primes(2000)
+    for limit in range(2, 2001):
+        want = primes[:bisect.bisect_right(primes, limit)]
+        assert sieve_primes(limit).events.tolist() == want, limit
+
+
+def test_sieve_matches_trial_division_next_to_prime_squares():
+    # p^2 is the first multiple of p that the sieve strikes; a limit on
+    # either side of it or at it, for every prime p < 1000
+    primes = trial_division_prime_array(997 ** 2 + 1)
+    for p in trial_division_primes(999):
+        for limit in (p * p - 1, p * p, p * p + 1):
+            want = primes[:np.searchsorted(primes, limit, side="right")]
+            assert np.array_equal(sieve_primes(limit).events, want), limit
 
 
 def test_sieve_count_to_a_million():
@@ -131,12 +153,13 @@ def test_exact_theta_against_multiprecision():
 
 
 def test_Z_within_error_model_of_multiprecision():
-    # Below the crossover the Euler-Maclaurin tail after 12 terms at
-    # M = ceil(0.8 t) is below 1e-19, and a phase error only enters Z to
-    # second order; what is left is rounding. Each phase theta - t log n,
-    # of size up to t log t, carries about u t log M (u = 2^-53) at most
-    # 7.4e-13 below t = 1000, and over the M terms weighted by n^-1/2 these
-    # add like sqrt(sum 1/n) = sqrt(log M + 0.58) < 2.7 of them: 2e-12.
+    # Below the crossover the Euler-Maclaurin tail after 16 terms at
+    # M = max(20, ceil(0.4 t)) is below 6.7e-14 (Backlund's bound, pinned by
+    # test_em_truncation_within_backlund_bound), and a phase error only
+    # enters Z to second order; what is left is rounding. Each phase theta -
+    # t log n, of size up to t log t, carries about u t log M (u = 2^-53) at
+    # most 6.7e-13 below t = 1000, and over the M terms weighted by n^-1/2
+    # these add like sqrt(sum 1/n) = sqrt(log M + 0.58) < 2.6 of them: 2e-12.
     em = np.linspace(10.0, RS_CROSSOVER, 40, endpoint=False)
     worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
                 for t in em)
@@ -150,6 +173,24 @@ def test_Z_within_error_model_of_multiprecision():
     worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
                 for t in rs)
     assert worst < 1e-10
+
+
+def test_em_truncation_within_backlund_bound():
+    # The tail's truncation at the cutoff and term count Z uses stays well
+    # below the 2e-12 of rounding that the error-model test above allows:
+    # 6.7e-14 at worst, at t = 50, where the cutoff leaves its floor of 20.
+    # For each cutoff the bound grows with t, so the grid holds each
+    # cutoff's last t, 2.5 M. A cutoff of ceil(0.35 t) reaches 3.5e-12.
+    ts = np.arange(0.0, RS_CROSSOVER, 0.5)
+    worst = max(em_remainder_bound_mpmath(float(t), int(_em_cutoff(t)),
+                                          _EM_TERMS) for t in ts)
+    assert worst <= 1e-13
+
+
+def test_bernoulli_ratios_are_exact():
+    assert len(_BERNOULLI_RATIOS) >= _EM_TERMS
+    for k, ratio in enumerate(_BERNOULLI_RATIOS, 1):
+        assert ratio == mp.bernfrac(2 * k), k
 
 
 def test_remainder_table_against_multiprecision():
@@ -167,12 +208,12 @@ def test_remainder_table_against_multiprecision():
 def test_batched_Z_matches_scalar():
     # both ends of the exact-phase route, both crossovers exactly, and a grid
     # up to 9000 whose points fill more than one block on each route: a row
-    # holds M = ceil(0.8 t) terms below the crossover, floor(tau) above it
+    # holds M = _em_cutoff(t) terms below the crossover, floor(tau) above it
     grid = np.linspace(0.0, 9000.0, 40001)
     ts = np.concatenate([[0.0, 1e-3, 0.5, 9.999, 10.0, RS_CROSSOVER,
                           np.nextafter(RS_CROSSOVER, 0.0)], grid])
     em, rs = grid[grid < RS_CROSSOVER], grid[grid >= RS_CROSSOVER]
-    assert em.size * math.ceil(0.8 * em.max()) > _Z_BLOCK_TERMS
+    assert em.size * _em_cutoff(em.max()) > _Z_BLOCK_TERMS
     assert rs.size * math.floor(math.sqrt(rs.max() / (2 * math.pi))) \
         > _Z_BLOCK_TERMS
     batch = _z_batch(ts)
@@ -199,7 +240,7 @@ def test_batched_Z_depends_on_its_t_alone(ts):
 
 def test_batched_Z_does_not_depend_on_the_block_size(monkeypatch):
     # blocks of 400 terms hold one row below the crossover and ten above
-    # it, against about 160 and 3500 rows at the default size
+    # it, against about 330 and 3500 rows at the default size
     ts = np.concatenate([np.linspace(0.0, 1200.0, 601),
                          np.linspace(5000.0, 9000.0, 201)])
     batch = _z_batch(ts)

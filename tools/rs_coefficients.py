@@ -1,4 +1,5 @@
-"""Power-series table of the Riemann-Siegel remainder terms C0..C4.
+"""Power-series table of the Riemann-Siegel remainder terms C0..C4, and a
+check of the Bernoulli numbers that the Euler-Maclaurin route sums.
 
 The remainder of the Riemann-Siegel formula at tau = sqrt(t / 2 pi),
 m = floor(tau) and p = tau - m is
@@ -17,9 +18,13 @@ are even in z and C1 and C3 are odd; row k of the table holds the
 coefficients of z^(2j + k % 2), j = 0, 1, ..., cut after the last one of
 magnitude 1e-17 or more (|z| <= 1, so no dropped term exceeds that).
 
+numtheory.py's _BERNOULLI_RATIOS holds B_2k as (numerator, denominator) for
+k = 1, 2, ...; --check also compares each with mpmath.bernfrac(2k).
+
     python tools/rs_coefficients.py          # print the table's source
     python tools/rs_coefficients.py --check  # exit 1 unless numtheory.py
-                                             # holds exactly this table
+                                             # holds exactly this table and
+                                             # the exact Bernoulli numbers
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import mpmath as mp
 
 NUMTHEORY = Path(__file__).resolve().parents[1] / "src" / "zetaspectra" / "numtheory.py"
 NAME = "_RS_SERIES"
+BERNOULLI = "_BERNOULLI_RATIOS"
 CUTOFF = 1e-17
 TERMS = 120  # Taylor terms of Psi in x = p - 1/2; the cut lands near 55
 DPS = 120    # the series division loses about 0.6 digits per term
@@ -107,31 +113,39 @@ def source(rows: list[tuple[float, ...]]) -> str:
     return "\n".join(lines)
 
 
-def committed() -> list[tuple[float, ...]]:
-    """The table's literals as numtheory.py holds them."""
+def committed(name: str) -> list[tuple]:
+    """The literals assigned to name, as numtheory.py holds them."""
     tree = ast.parse(NUMTHEORY.read_text(encoding="utf-8"))
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) == NAME):
+                and getattr(node.targets[0], "id", None) == name):
             return list(ast.literal_eval(node.value))
-    raise SystemExit(f"{NUMTHEORY}: no assignment to {NAME}")
+    raise SystemExit(f"{NUMTHEORY}: no assignment to {name}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with the table in numtheory.py")
+                        help="compare with the table and the Bernoulli numbers "
+                             "in numtheory.py")
     args = parser.parse_args(argv)
     rows = remainder_series()
     if not args.check:
         print(source(rows))
         return 0
-    if committed() != rows:
+    if committed(NAME) != rows:
         print(f"{NUMTHEORY}: {NAME} differs from the generated table; "
               f"replace it with the output of {Path(__file__).name}",
               file=sys.stderr)
         return 1
     print(f"{NAME}: {sum(map(len, rows))} coefficients match")
+    ratios = committed(BERNOULLI)
+    for k, ratio in enumerate(ratios, 1):
+        if ratio != mp.bernfrac(2 * k):
+            print(f"{NUMTHEORY}: {BERNOULLI}[{k - 1}] is {ratio}, but B_{2 * k}"
+                  f" = {mp.bernfrac(2 * k)}", file=sys.stderr)
+            return 1
+    print(f"{BERNOULLI}: B_2..B_{2 * len(ratios)} match")
     return 0
 
 
