@@ -17,8 +17,9 @@ correction:
   bound on the omitted remainder, 0.017 t^(-11/4), is 9.6e-11 at t = 1000;
   the worst error measured is 6.0e-11 near t = 1040.
 
-The phase theta is exact (Stirling's series) below t = 10 and its asymptotic
-series above; below the crossover a phase error enters Z only to second order.
+Both take theta from its asymptotic series, 4.6e-9 off at g_-1 = 9.6669; the
+first route's Z moves only by |Z| (1 - cos e) for a phase error e. Below g_-1,
+Z = -|zeta(1/2 + i t)|: no zero lies there, and Z(0) = zeta(1/2) < 0.
 
 Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
 n pi, in one batched call, and the intervals of a block with too few sign
@@ -198,29 +199,10 @@ def _theta_series(t):
     one t > 0 or an array:
 
     theta(t) = t/2 log(t/2pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3).
-    Absolute error ~4e-9 at t = 10, falling like t^-5.
+    Absolute error 4.6e-9 at g_-1 = 9.6669, falling like t^-5.
     """
     return ((t / 2.0) * np.log(t / TWO_PI) - t / 2.0 - math.pi / 8.0
             + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3))
-
-
-# B_{2k} / (2k (2k-1)) for k = 1..7: Stirling's series for log Gamma.
-_STIRLING_COEF = [p / q / ((2 * k + 2) * (2 * k + 1))
-                  for k, (p, q) in enumerate(_BERNOULLI_RATIOS[:7])]
-
-
-def _theta_exact(t):
-    """Im log Gamma(1/4 + i t/2) - (t/2) log pi, for t >= 0 or an array.
-
-    Stirling's series at w = 1/4 + i t/2 + 10 (|w| >= 10, truncation below
-    1e-16), shifted back by Gamma(w + 1) = w Gamma(w): each of the ten steps
-    subtracts arg(1/4 + k + i t/2).
-    """
-    w = 10.25 + 0.5j * t
-    log_gamma = (w - 0.5) * np.log(w) - w + sum(
-        c / w ** (2 * k + 1) for k, c in enumerate(_STIRLING_COEF))
-    shift = sum(np.arctan2(0.5 * t, 0.25 + k) for k in range(10))
-    return log_gamma.imag - shift - 0.5 * t * math.log(math.pi)
 
 
 # Remainder terms C0..C4 of the Riemann-Siegel formula (Gabcke, PhD thesis,
@@ -300,28 +282,34 @@ def _rs_z(t, tau, m):
     return 2.0 * _cos_sum(t, _theta_series(t), m) + _rs_correction(tau, m)
 
 
-def _em_z(t, theta, m):
-    """Z below RS_CROSSOVER at phase theta and cutoff m: the cosine sum over
-    n <= m plus Re(exp(i theta) times the Euler-Maclaurin tail of
-    zeta(1/2 + i t))."""
+def _em_z(t, m):
+    """Z at cutoff m: cosines over n <= m plus Re(exp(i theta) * _em_tail)."""
+    theta = _theta_series(t)
     tail = _em_tail(0.5 + 1j * t, m)
     return _cos_sum(t, theta, m) + (np.exp(1j * theta) * tail).real
+
+
+# g_-1, where theta = -pi: Z < 0 up to the first zero, 14.13, so it is good.
+_GRAM_START = 9.6669
 
 
 def riemann_siegel_Z(t: float) -> float:
     """Real Z(t) whose sign changes bracket the critical-line zeros.
 
-    Below RS_CROSSOVER the value is the Euler-Maclaurin route, with the exact
-    phase below t = 10 and the asymptotic phase series above it; from
-    RS_CROSSOVER on it is the Riemann-Siegel asymptotic formula.
+    Below g_-1 it is -|zeta(1/2 + i t)|, up to RS_CROSSOVER the
+    Euler-Maclaurin route and from there on the Riemann-Siegel formula.
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"Z is evaluated for 0 <= t < inf, got {t}")
     if t >= RS_CROSSOVER:
         tau = math.sqrt(t / TWO_PI)
         return float(_rs_z(t, tau, int(tau)))
-    theta = _theta_exact(t) if t < 10.0 else _theta_series(t)
-    return float(_em_z(t, theta, int(_em_cutoff(t))))
+    m = int(_em_cutoff(t))
+    if t < _GRAM_START:
+        logs, rsqrt = _n_terms(m)
+        zeta = rsqrt @ np.exp(-1j * t * logs) + _em_tail(0.5 + 1j * t, m)
+        return -float(abs(zeta))
+    return float(_em_z(t, m))
 
 
 # Most terms one block of _z_batch (real, 1 MiB) holds, so the working set
@@ -339,18 +327,8 @@ def _blockwise(rows, *cols) -> np.ndarray:
     return np.concatenate(parts) if parts else cols[0]
 
 
-def _theta(t: np.ndarray) -> np.ndarray:
-    """The phase at every point of t below RS_CROSSOVER: exact below t = 10,
-    the asymptotic series above."""
-    low = t < 10.0
-    theta = np.empty_like(t)
-    theta[low] = _theta_exact(t[low])
-    theta[~low] = _theta_series(t[~low])
-    return theta
-
-
 def _z_batch(ts: np.ndarray) -> np.ndarray:
-    """riemann_siegel_Z at every point of ts, by the same routes and formulas.
+    """riemann_siegel_Z at every point of ts >= g_-1, by the same formulas.
 
     Each route sums a matrix of real cosine terms block by block, each row
     in order to its own cutoff, so every value depends on its t alone. Sorted
@@ -358,12 +336,12 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     cutoff.
     """
     ts = np.asarray(ts, dtype=float)
-    if not np.all(ok := (ts >= 0.0) & (ts < math.inf)):
-        raise DomainError(f"Z is evaluated for 0 <= t < inf, got {ts[~ok][0]}")
+    if not np.all(ok := (ts >= _GRAM_START) & (ts < math.inf)):
+        raise DomainError(f"batched Z needs g_-1 <= t < inf, got {ts[~ok][0]}")
     z = np.empty_like(ts)
     em = ts < RS_CROSSOVER
     t = ts[em]
-    z[em] = _blockwise(_em_z, t, _theta(t), _em_cutoff(t))
+    z[em] = _blockwise(_em_z, t, _em_cutoff(t))
     t = ts[~em]
     tau = np.sqrt(t / TWO_PI)
     z[~em] = _blockwise(_rs_z, t, tau, tau.astype(int))
@@ -432,13 +410,12 @@ def _refine(f, a: float, b: float, fa: float, fb: float,
     return a, b
 
 
-# g_-1, where theta = -pi: Z < 0 up to the first zero, 14.13, so it is good.
-_GRAM_START = 9.6669
 # Halving rounds a Gram block may take; up to t = 30000 none takes over five.
 _HALVINGS = 8
 # Brackets narrower than this many grid cells may take cells from edge signs.
 _CELL_EDGES = 8
 _ZERO_WIDTH = 1e-9  # of each zero's final bracket
+_ROSSER_FAILS = 13_999_525  # Gram point where Rosser's rule first fails
 
 
 def _gram_points(n: np.ndarray) -> np.ndarray:
@@ -459,11 +436,14 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     at or above t_max; a Z value of exactly 0 counts as positive.
 
     g_n is good where (-1)^n Z(g_n) > 0. A Gram block, k intervals from one
-    good point to the next, holds k zeros or more by Rosser's rule (true up
-    to n = 1.4e7, Lehman 1970). A block with fewer sign changes has every
-    interval halved, one _z_batch call a round, up to _HALVINGS rounds; the
-    blocks and halvings depend on n alone, whatever the range.
+    good point to the next, holds k zeros or more by Rosser's rule (true for
+    n < _ROSSER_FAILS, Lehman 1970; DomainError at once past it). A block with
+    fewer sign changes has every interval halved, one _z_batch call a round,
+    up to _HALVINGS rounds; the blocks and halvings depend on n alone.
     """
+    if t_max > _gram_points(_ROSSER_FAILS - pad - 1):
+        raise DomainError(f"t_max {t_max} is past t = 6 820 051, where "
+                          "Rosser's rule first fails (Lehman 1970)")
     lo = math.floor(_theta_series(max(t_min, _GRAM_START)) / math.pi)
     n = np.arange(max(-1, lo - pad),
                   math.ceil(_theta_series(t_max) / math.pi) + pad + 1)

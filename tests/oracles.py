@@ -134,10 +134,6 @@ def zeta_mpmath(s: float) -> float:
     return float(mp.zeta(s))
 
 
-def theta_mpmath(t: float) -> float:
-    return float(mp.siegeltheta(t))
-
-
 def zetazero_mpmath(n: int) -> float:
     """Ordinate of the n-th zero on the critical line."""
     return float(mp.zetazero(n).imag)

@@ -201,6 +201,7 @@ def test_usage_errors_exit_2(tmp_path):
     ("--source", "primes", "--limit", "10", "--delta", "1e-320"),
     ("--source", "synthetic", "--gap", "1e-300"),
     ("--source", "primes", "--limit", "100000000000000000000"),
+    ("--t-max", "1e15"),
     # argparse's own errors take the same path as a refused configuration
     ("--source", "nonsense"),
     ("--limit", "2.5"),
@@ -212,8 +213,9 @@ def test_usage_errors_exit_2(tmp_path):
         "k-beyond-grid", "z-beyond-int64", "z-repeated", "t-max-nan",
         "t-max-inf", "delta-nan", "gap-nan", "tol-nan", "tol-inf",
         "undecodable-table", "grid-length-infinite", "train-beyond-array",
-        "limit-beyond-array", "source-unknown", "limit-not-int", "z-not-int",
-        "k-not-int", "option-unknown", "no-command"])
+        "limit-beyond-array", "t-max-past-rosser", "source-unknown",
+        "limit-not-int", "z-not-int", "k-not-int", "option-unknown",
+        "no-command"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
     tables = {"MALFORMED": tmp_path / "zeros.txt",
               "UNDECODABLE": tmp_path / "zeros-utf16.txt"}

@@ -14,16 +14,15 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          sieve_primes, synthetic_train)
 
 from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS, RS_CROSSOVER,
-                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _em_cutoff,
-                                   _gram_points, _refine, _rs_terms,
-                                   _theta_exact, _z_batch,
-                                   _zero_count_estimate)
+                                   _GRAM_START, _Z_BLOCK_TERMS, _ZERO_WIDTH,
+                                   _em_cutoff, _gram_points, _refine,
+                                   _rs_terms, _z_batch, _zero_count_estimate)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
                      explicit_formula_prime_side, explicit_formula_zero_side,
                      gram_offset_mpmath, nzeros_mpmath,
-                     rs_remainder_terms_mpmath, theta_mpmath,
+                     rs_remainder_terms_mpmath,
                      trial_division_prime_array, trial_division_primes,
                      zeta_mpmath, zetazero_mpmath)
 
@@ -145,11 +144,14 @@ def test_asymptotic_path_against_euler_maclaurin_oracle():
     assert worst < 1e-8
 
 
-def test_exact_theta_against_multiprecision():
-    # the Stirling-series phase that Z uses below t = 10
-    worst = max(abs(_theta_exact(float(t)) - theta_mpmath(float(t)))
-                for t in np.linspace(0.0, 10.0, 101))
-    assert worst < 1e-13
+def test_Z_below_the_first_gram_point_is_minus_abs_zeta():
+    # zeta(1/2 + it) has no zero below 14.13 and Z(0) = zeta(1/2) < 0, so
+    # below g_-1 Z is -|zeta(1/2 + it)|, with no phase; the last point, g_-1
+    # itself, takes the asymptotic phase
+    ts = np.linspace(0.0, _GRAM_START, 101)
+    z = np.array([riemann_siegel_Z(float(t)) for t in ts])
+    assert np.max(np.abs(z - [Z_mpmath(float(t)) for t in ts])) < 1e-13
+    assert np.all(z < 0.0)
 
 
 def test_Z_within_error_model_of_multiprecision():
@@ -206,11 +208,12 @@ def test_remainder_table_against_multiprecision():
 
 
 def test_batched_Z_matches_scalar():
-    # both ends of the exact-phase route, both crossovers exactly, and a grid
-    # up to 9000 whose points fill more than one block on each route: a row
-    # holds M = _em_cutoff(t) terms below the crossover, floor(tau) above it
-    grid = np.linspace(0.0, 9000.0, 40001)
-    ts = np.concatenate([[0.0, 1e-3, 0.5, 9.999, 10.0, RS_CROSSOVER,
+    # the batch's lowest point g_-1, the crossover exactly and just below
+    # it, and a grid up to 9000 whose points fill more than one block on each
+    # route: a row holds M = _em_cutoff(t) terms below the crossover,
+    # floor(tau) above it
+    grid = np.linspace(_GRAM_START, 9000.0, 40001)
+    ts = np.concatenate([[_GRAM_START, 9.999, 10.0, RS_CROSSOVER,
                           np.nextafter(RS_CROSSOVER, 0.0)], grid])
     em, rs = grid[grid < RS_CROSSOVER], grid[grid >= RS_CROSSOVER]
     assert em.size * _em_cutoff(em.max()) > _Z_BLOCK_TERMS
@@ -226,7 +229,8 @@ def test_batched_Z_matches_scalar():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.one_of(st.floats(0.0, RS_CROSSOVER, exclude_max=True),
+@given(st.lists(st.one_of(st.floats(_GRAM_START, RS_CROSSOVER,
+                                    exclude_max=True),
                           st.floats(RS_CROSSOVER, 9000.0)),
                 min_size=1, max_size=40))
 def test_batched_Z_depends_on_its_t_alone(ts):
@@ -241,7 +245,7 @@ def test_batched_Z_depends_on_its_t_alone(ts):
 def test_batched_Z_does_not_depend_on_the_block_size(monkeypatch):
     # blocks of 400 terms hold one row below the crossover and ten above
     # it, against about 330 and 3500 rows at the default size
-    ts = np.concatenate([np.linspace(0.0, 1200.0, 601),
+    ts = np.concatenate([np.linspace(_GRAM_START, 1200.0, 601),
                          np.linspace(5000.0, 9000.0, 201)])
     batch = _z_batch(ts)
     monkeypatch.setattr(numtheory, "_Z_BLOCK_TERMS", 400)
@@ -259,9 +263,10 @@ def test_find_zeros_where_t_max_lies_next_to_a_zero(t_max, count):
 
 
 def test_batched_Z_rejects_negative():
-    for bad in (-0.5, -math.inf, math.nan, math.inf):
+    # and every t below g_-1: the zero finder never asks there
+    for bad in (-0.5, -math.inf, math.nan, math.inf, 0.0, 9.6):
         with pytest.raises(DomainError):
-            _z_batch(np.array([1.0, bad, 20.0]))
+            _z_batch(np.array([_GRAM_START, bad, 20.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +443,11 @@ def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
 def test_cell_rule_gives_the_grid_and_series_of_full_refinement(t_max,
                                                                 zeros_3000):
     # at delta 0.1 and 0.05 a bracket about 1 wide holds more than
-    # _CELL_EDGES edges above t = 1000 and is refined
+    # _CELL_EDGES edges above t = 1000 and is refined; from delta 2 on the
+    # first bracket [g_-1, g_0], 8.2 wide, takes its cell from Z at the
+    # edges inside it, the lowest points the batch is ever asked for
     ordinates = EventSequence(zeros_3000[zeros_3000 <= t_max])
-    for delta in (1.0, 0.5, 0.25, 0.1, 0.05):
+    for delta in (5.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05):
         values = find_zeros(0.0, t_max, delta=delta)
         grid = GridSpec.for_events(values, delta=delta)
         assert grid == GridSpec.for_events(ordinates, delta=delta)
@@ -555,6 +562,25 @@ def test_find_zeros_domain_errors():
     for delta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="delta"):
             find_zeros(0.0, 30.0, delta=delta)
+
+
+def test_find_zeros_refuses_heights_past_rossers_rule(monkeypatch):
+    # Rosser's rule, on which the brackets rest, first fails at Gram point
+    # 13 999 525, t = 6 820 051 (Lehman 1970). A range is refused when the
+    # Gram points it fetches, 8 past t_max's index, would reach it; before
+    # any Z value, so at once, however high t_max is
+    def no_batch(ts):
+        raise AssertionError("Z evaluated")
+
+    monkeypatch.setattr(numtheory, "_z_batch", no_batch)
+    for t_min, t_max in ((0.0, 1e7), (0.0, 1e300), (1e15, 1e15 + 1.0)):
+        with pytest.raises(DomainError, match="Rosser"):
+            find_zeros(t_min, t_max)
+    top = float(_gram_points(numtheory._ROSSER_FAILS - 9))
+    with pytest.raises(DomainError, match="Rosser"):
+        find_zeros(top - 1.0, top + 0.1)
+    with pytest.raises(AssertionError, match="Z evaluated"):
+        find_zeros(top - 1.0, top - 0.1)
 
 
 # ---------------------------------------------------------------------------
