@@ -105,10 +105,12 @@ def reconstruct(spectrum: Spectrum, k_terms: int | str = "all") -> np.ndarray:
 
 
 def pnt_ratio(x: int, count: int | None = None) -> float:
-    """pi(x) * ln(x) / x; pi(x) is `count` when given, else counted by the
-    prime sieve."""
-    if x < 2:
-        raise DomainError(f"pnt_ratio needs x >= 2, got {x}")
+    """pi(x) * ln(x) / x; pi(x) is `count` when given, an integer >= 0, else
+    counted by the prime sieve."""
+    if not (2 <= x < math.inf and (count is None
+                                   or _integer("count", count) >= 0)):
+        raise DomainError(f"pnt_ratio needs 2 <= x < inf and count >= 0, "
+                          f"got x={x}, count={count}")
     if count is None:
         count = len(sieve_primes(int(x)))
     return count * math.log(x) / x

@@ -22,13 +22,15 @@ first route's Z moves only by |Z| (1 - cos e) for a phase error e. Below g_-1,
 Z = -|zeta(1/2 + i t)|: no zero lies there, and Z(0) = zeta(1/2) < 0.
 
 Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
-n pi, in one batched call, and the intervals of a block with too few sign
-changes halved (Rosser's rule; Brent, Math. Comp. 33, 1979), about 1.25 Z
-values per zero. Each bracket is refined to 1e-9 by two batched rounds of
-regula falsi and then safeguarded Illinois regula falsi, about five scalar
-``riemann_siegel_Z`` calls per zero. Given the grid's period delta, most
-brackets give a value in the zero's grid cell instead, from Z's signs at
-the cell edges: 18 scalar calls up to t = 3000 at delta = 1, not 13 098.
+n pi, in one batched call, and a block's intervals halved while it shows too
+few sign changes, about 1.25 Z values per zero. Below Rosser's first failure a
+block holds exactly as many zeros as intervals (Lehman 1970; Brent,
+Math. Comp. 33, 1979), so any other count of sign changes raises; only a wrong
+sign of Z that moves a pair within a block goes unseen. Two batched rounds of
+regula falsi, then safeguarded Illinois regula falsi, refine each bracket to
+1e-9: about five scalar ``riemann_siegel_Z`` calls per zero. Given the grid's
+period delta, most brackets take their zero's grid cell from Z's signs at the
+cell edges: 18 scalar calls up to t = 3000 at delta = 1, not 13 098.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class DomainError(ValueError):
 
 class MissedZeroError(RuntimeError):
     """Zeros the finder cannot account for: a Gram block short of sign
-    changes after every halving, or a count outside the estimate's band."""
+    changes after every halving, or with more than it has intervals."""
 
 
 class ZeroTableError(DomainError):
@@ -352,21 +354,6 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
 # Zero location
 # ---------------------------------------------------------------------------
 
-def _zero_count_estimate(t_max: float) -> int:
-    """Smooth zero-count estimate round((T/2pi) log(T/2pi) - T/2pi + 7/8).
-
-    The neglected fluctuation term stays below one at desk scale, so a
-    correct count differs from it by at most one (below 30/50/500 the true
-    counts are 3/10/269, the estimate's 4/9/270).
-    """
-    if t_max <= 0.0:
-        return 0
-    x = t_max / TWO_PI
-    # x log x -> 0 as x -> 0, where x underflows for the tiniest t_max
-    smooth = (x * math.log(x) if x > 0.0 else 0.0) - x + 0.875
-    return max(0, int(math.floor(smooth + 0.5)))
-
-
 def _refine(f, a: float, b: float, fa: float, fb: float,
             width: float) -> tuple[float, float]:
     """Shrink the bracket [a, b] of a sign change of f to width <= width.
@@ -435,11 +422,12 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     from the last good Gram point at or below t_min (or g_-1) to the first
     at or above t_max; a Z value of exactly 0 counts as positive.
 
-    g_n is good where (-1)^n Z(g_n) > 0. A Gram block, k intervals from one
-    good point to the next, holds k zeros or more by Rosser's rule (true for
-    n < _ROSSER_FAILS, Lehman 1970; DomainError at once past it). A block with
-    fewer sign changes has every interval halved, one _z_batch call a round,
-    up to _HALVINGS rounds; the blocks and halvings depend on n alone.
+    g_n is good where (-1)^n Z(g_n) > 0. For n < _ROSSER_FAILS (DomainError at
+    once past it) a Gram block, k intervals from one good point to the next,
+    holds exactly k zeros (Rosser's rule, Lehman 1970; Brent 1979). A block
+    with fewer sign changes is halved, one _z_batch call a round, up to
+    _HALVINGS rounds; one with more raises MissedZeroError at once, as halving
+    only adds sign changes. Blocks and halvings depend on n alone.
     """
     if t_max > _gram_points(_ROSSER_FAILS - pad - 1):
         raise DomainError(f"t_max {t_max} is past t = 6 820 051, where "
@@ -460,13 +448,17 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     for depth in itertools.count():
         change = (z[:-1] < 0.0) != (z[1:] < 0.0)
         block = np.cumsum(ends[:-1]) - 1
-        short = np.flatnonzero(np.bincount(block, change, need.size) < need)
+        found = np.bincount(block, change, need.size)
+        wrong = found != need if depth == _HALVINGS else found > need
+        if wrong.any():
+            k = np.argmax(wrong)
+            a, b = t[ends][k:k + 2]
+            raise MissedZeroError(
+                f"the Gram block [{a}, {b}] shows {found[k]:.0f} sign changes"
+                f" of Z for {need[k]} intervals after {depth} halvings")
+        short = np.flatnonzero(found < need)
         if short.size == 0:
             return t, z, change
-        if depth == _HALVINGS:
-            a, b = t[ends][short[0]:short[0] + 2]
-            raise MissedZeroError(f"the Gram block [{a}, {b}] shows too few "
-                                  f"sign changes of Z after {depth} halvings")
         split = np.flatnonzero(np.isin(block, short)) + 1
         mid = 0.5 * (t[split - 1] + t[split])
         t, z = np.insert(t, split, mid), np.insert(z, split, _z_batch(mid))
@@ -494,12 +486,12 @@ def find_zeros(t_min: float, t_max: float,
                delta: float | None = None) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
 
-    The brackets come from Gram blocks (_sign_changes), whatever the ends, so
-    (t_min, t_max] holds exactly the zeros of (0, B] in it, for any B >=
-    t_max. Each is narrowed by two rounds of regula falsi, one _z_batch call
-    each, then by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero
-    is the midpoint. A count off by more than 1 from the smooth counting
-    estimate (2 for a range not from 0) raises MissedZeroError.
+    The brackets come from Gram blocks (_sign_changes: exactly one sign
+    change per zero, or MissedZeroError), whatever the ends, so (t_min,
+    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. Each
+    is narrowed by two rounds of regula falsi, one _z_batch call each, then
+    by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero is the
+    midpoint.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
@@ -534,13 +526,7 @@ def find_zeros(t_min: float, t_max: float,
     values[refine] = [0.5 * sum(_refine(riemann_siegel_Z, *e, _ZERO_WIDTH))
                       for e in zip(a.tolist(), b.tolist(), fa.tolist(),
                                    fb.tolist())]
-    zeros = values[(values > t_min) & (values <= t_max)]
-
-    expected = _zero_count_estimate(t_max) - _zero_count_estimate(t_min)
-    if abs(zeros.size - expected) > (1 if t_min == 0.0 else 2):
-        raise MissedZeroError(f"found {zeros.size} zeros in ({t_min}, {t_max}]"
-                              f" but the counting estimate gives {expected}")
-    return EventSequence(zeros)
+    return EventSequence(values[(values > t_min) & (values <= t_max)])
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ def test_emit_none_writes_manifest_only(tmp_path):
     assert all(c["pass"] for c in manifest["checks"])
 
 
-def test_t_max_where_the_count_estimate_underflows(tmp_path):
-    # t_max / 2pi underflows to 0; the run finds no zeros and ends normally
+def test_t_max_next_to_the_least_float(tmp_path):
+    # t_max = 1e-323, a subnormal: the run finds no zeros and ends normally
     out = tmp_path / "out"
     cp = run_cli("run", "--out", str(out), "--emit", "none",
                  "--t-max", "1e-323")
@@ -257,10 +257,18 @@ GRID4 = GridSpec(delta=1.0, length=4)
     lambda: Spectrum(bins=np.zeros(3), source_grid=GRID4),
     lambda: dft_direct(np.zeros(3), GRID4),
     lambda: analysis.detect_peaks(Spectrum(np.ones(4), GRID4), 2.0),
+    lambda: analysis.pnt_ratio(math.nan),
+    lambda: analysis.pnt_ratio(math.inf),
+    lambda: analysis.pnt_ratio(math.inf, 5),
+    lambda: analysis.pnt_ratio(100, -1),
+    lambda: analysis.pnt_ratio(100, 25.0),
 ], ids=["grid-delta-nan", "series-value-half", "events-decreasing",
-        "spectrum-bin-count", "dft-direct-length", "peaks-threshold"])
+        "spectrum-bin-count", "dft-direct-length", "peaks-threshold",
+        "pnt-x-nan", "pnt-x-inf", "pnt-x-inf-count", "pnt-count-negative",
+        "pnt-count-float"])
 def test_every_library_refusal_is_a_domain_error(refuse):
-    # these were bare ValueErrors, which main did not map to exit 2
+    # these were bare ValueErrors (or, for pnt_ratio, an OverflowError, a
+    # NaN returned or a bad count accepted), which main did not map to exit 2
     with pytest.raises(DomainError):
         refuse()
 
@@ -346,7 +354,8 @@ def test_the_longest_grid_passes_to_the_series(tmp_path, monkeypatch):
 
 def test_missed_zero_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
     # a finder that cannot account for every zero, say a Gram block that
-    # stays short after every halving; stubbed, since none is in reach
+    # stays short after every halving or shows more sign changes than
+    # intervals; stubbed, since none is in reach
     def missed(t_min, t_max, delta=None):
         raise MissedZeroError(f"found no zeros in ({t_min}, {t_max}]")
 

@@ -16,7 +16,7 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
 from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS, RS_CROSSOVER,
                                    _GRAM_START, _Z_BLOCK_TERMS, _ZERO_WIDTH,
                                    _em_cutoff, _gram_points, _refine,
-                                   _rs_terms, _z_batch, _zero_count_estimate)
+                                   _rs_terms, _z_batch)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
@@ -26,10 +26,8 @@ from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
                      trial_division_prime_array, trial_division_primes,
                      zeta_mpmath, zetazero_mpmath)
 
-# True zero counts below T (multiprecision oracle), next to what the smooth
-# counting estimate rounds to; they may differ by one, never more.
+# True zero counts below T (multiprecision oracle)
 TRUE_COUNTS = {30: 3, 50: 10, 100: 29, 500: 269}
-SMOOTH_COUNTS = {30: 4, 50: 9, 100: 29, 500: 270}
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +295,6 @@ def test_find_zeros_below_100_against_fixture():
 def test_find_zeros_counts(t_max):
     found = find_zeros(0.0, float(t_max))
     assert len(found) == TRUE_COUNTS[t_max]
-    # the smooth estimate is only good to +-1
-    assert abs(len(found) - _zero_count_estimate(t_max)) <= 1
-
-
-def test_zero_count_estimate_frozen():
-    for t_max, smooth in SMOOTH_COUNTS.items():
-        assert _zero_count_estimate(t_max) == smooth
-    assert _zero_count_estimate(0.0) == 0
 
 
 def test_found_zeros_are_bracketed_by_Z():
@@ -403,9 +393,9 @@ def test_interior_range():
         pytest.approx(21.022040), pytest.approx(25.010858)]
 
 
-def test_count_band_tolerates_estimate_jitter():
-    # endpoints just past a zero sit where the smooth estimate is off by one;
-    # the consistency band must not trip on a correct count
+def test_ranges_that_end_just_past_a_zero():
+    # a range that ends just past the first zero, 14.1347, and one that
+    # starts just past it
     assert len(find_zeros(0.0, 14.5)) == 1
     assert len(find_zeros(14.3, 30.0)) == 2
 
@@ -535,6 +525,25 @@ def test_unresolved_gram_block_raises_missed_zero(monkeypatch):
     monkeypatch.setattr(numtheory, "_HALVINGS", 0)
     with pytest.raises(MissedZeroError, match="Gram block"):
         find_zeros(0.0, 300.0)
+
+
+def test_a_gram_block_with_more_sign_changes_than_intervals_raises(
+        monkeypatch):
+    # Z's sign flipped next to 281.215502, a second-round halving point of
+    # the block [g_125, g_127], adds a spurious pair of sign changes: the
+    # block shows 4 for its 2 intervals. Below Rosser's first failure a
+    # block holds exactly as many zeros as intervals (Brent 1979), so the
+    # pair cannot pass, whether or not the range starts at 0
+    z_batch = numtheory._z_batch
+
+    def flipped(ts):
+        z = z_batch(ts)
+        return np.where(np.abs(np.asarray(ts) - 281.215502) < 1e-5, -z, z)
+
+    monkeypatch.setattr(numtheory, "_z_batch", flipped)
+    for t_min in (200.0, 0.0):
+        with pytest.raises(MissedZeroError, match="Gram block"):
+            find_zeros(t_min, 300.0)
 
 
 @pytest.mark.parametrize("t0", [1e3, 1e4, 24182.1])
