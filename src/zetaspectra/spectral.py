@@ -12,8 +12,9 @@ carries the +i sign and the 1/N factor. The fast path delegates to the FFT;
 the FFT cannot, on every bin while N times the mark count is at most
 PERIODICITY_TERMS, else on the last bins up to N - 1. The literal sum is
 exact in its phases (reduced in int64, N^2 < 2^63, then read from one table
-of exp(-2 pi i j / N)) and sums the requested bins in blocks of about
-sqrt(N) bins that share one table of rotations (see ``direct_bins``).
+of exp(-2 pi i j / N)), folds bin r onto min(r, N - r) (real values give
+X(N - r) = conj X(r)) and sums blocks of about sqrt(N) bins sharing one
+table of rotations, over slices of at most 2^16 terms (see ``direct_bins``).
 Per-bin quantities are numpy columns indexed by bin.
 ``conjugate_symmetry_check`` and ``parseval_check`` return their error as a
 float and leave the verdict to the caller's tolerance.
@@ -108,8 +109,7 @@ def _integers(x, what: str) -> np.ndarray:
 
 def _bin_block(n: int, marks: int) -> int:
     """Bins per block of the literal sum: the power of two near sqrt(N), at
-    most 2^20 / marks, so one block's rotation table holds at most 2^20
-    terms."""
+    most 2^20 / marks, so B times the marks is at most 2^20 terms."""
     return 1 << max(0, min(n.bit_length() // 2,
                            ((1 << 20) // max(marks, 1)).bit_length() - 1))
 
@@ -119,31 +119,35 @@ def direct_bins(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
     sum_k v_k exp(-i 2 pi m k / N) for each requested index m, which may lie
     outside 0..N-1 (the shifted-argument checks need that), over the nonzero
-    samples only. With m mod N = u B + j (B from ``_bin_block``, a power of
-    two near sqrt(N)), block u's row P[u, k] = T[(u B k) mod N] times one
-    table of rotations R[j, k] = v_k T[(j k) mod N] shared by all blocks
-    gives its bins as one matrix product P @ R.T, in pieces of about 2^20
-    terms; T is the table of N twiddles exp(-2 pi i j / N). Every phase is
-    reduced exactly in int64 first, which bounds N^2 below 2^63, so
-    X(l + zN) equals X(l) bit for bit.
+    samples only. Real values give X(N - r) = conj X(r), so r = m mod N
+    folds onto min(r, N - r), and a bin past N/2 takes its fold's conjugate.
+    With a folded bin u B + j (B from ``_bin_block``, a power of two near
+    sqrt(N)), block u's row P[u, k] = T[(u B k) mod N] times one table of
+    rotations R[j, k] = v_k T[(j k) mod N] shared by all blocks gives its
+    bins as one matrix product P @ R.T, summed over slices of the marks of
+    at most 2^16 terms where B and the blocks allow; T is the table of N
+    twiddles exp(-2 pi i j / N). Every phase is reduced exactly in int64
+    first (N^2 < 2^63), so X(l + zN) equals X(l) bit for bit.
     """
     values = np.asarray(values, dtype=float)
     n = max(values.size, 1)
     if n > MAX_LENGTH:
         raise DomainError(f"N = {n} is too large for int64 phase reduction")
     reduced = _integers(indices, "bin indices") % n
+    folded = np.minimum(reduced, n - reduced)
     k = np.flatnonzero(values)
     table = np.exp(-2j * np.pi * np.arange(n) / n)
     b = _bin_block(n, k.size)
-    blocks, at = np.unique(reduced // b, return_inverse=True)
-    rotation = table[np.outer(np.arange(b), k) % n] * values[k]
-    out = np.empty((blocks.size, b), dtype=complex)
-    step = max(1, (1 << 20) // max(k.size, 1))
-    for start in range(0, blocks.size, step):
-        phase = np.outer(blocks[start:start + step] * b % n, k)
-        np.remainder(phase, n, out=phase)
-        out[start:start + step] = table[phase] @ rotation.T
-    return out.ravel()[at * b + reduced % b]
+    blocks, at = np.unique(folded // b, return_inverse=True)
+    out = np.zeros((blocks.size, b), dtype=complex)
+    width = max(1, (1 << 16) // (b + blocks.size))
+    for start in range(0, k.size, width):
+        ks = k[start:start + width]
+        rotation = table[np.outer(np.arange(b), ks) % n] * values[ks]
+        out += table[np.outer(blocks * b, ks) % n] @ rotation.T
+    sums = out.ravel()[at * b + folded % b]
+    sums.imag[2 * folded == n] = 0.0  # X(N/2) is its own conjugate: real
+    return np.where(reduced > folded, sums.conj(), sums)
 
 
 def dft_direct(values: np.ndarray, grid: GridSpec) -> Spectrum:

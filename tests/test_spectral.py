@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,9 @@ def _requested(kind, n, rng):
 # Dense requests fill every block they touch and sparse ones leave most of
 # each block unread; both take the same blocked sum. N = 101 is prime and
 # N = 100 composite; neither is a multiple of the block size 8 that both
-# get, so the last block runs past N - 1.
+# get, so the last block runs past N - 1. Real values give
+# X(N - l) = conj X(l), bit for bit, since both fold onto one sum; the
+# dense requests hold l = 1..N-1 (N = 100 holds X(50), its own mirror).
 @pytest.mark.parametrize("n", [101, 100])
 @pytest.mark.parametrize("kind, dense", [
     ("all", True), ("unsorted-with-duplicates", True),
@@ -107,6 +110,9 @@ def test_direct_bins_in_both_block_regimes(n, kind, dense):
         for shifted in (indices + 7 * n, indices - 2 * n,
                         (indices + 10 ** 9 * n).astype(float)):
             assert np.array_equal(direct_bins(values, shifted), got)
+        assert np.array_equal(direct_bins(values, n - indices), np.conj(got))
+        both = direct_bins(values, np.concatenate([indices, n - indices]))
+        assert np.array_equal(both, np.concatenate([got, np.conj(got)]))
 
 
 # The CLI's periodicity check asks for its bins and their shifts by 1, 2 and
@@ -135,6 +141,24 @@ def test_block_size_at_the_cli_requests(n, marks, count, monkeypatch):
     (b,) = sizes
     assert b > 1
     assert b & (b - 1) == 0 and b * marks <= 2 ** 20
+
+
+# The literal sum's working set, as tracemalloc sees it (numpy reports its
+# allocations there): the request of run --t-max 3000's check (every bin and
+# its shifts by 1, 2 and 3 N), and every bin at N = 20 000 with 6000 marks.
+@pytest.mark.parametrize("n, marks, shifts, mib", [
+    (3001, 2205, 4, 3.5), (20000, 6000, 1, 8.0)])
+def test_direct_bins_working_set(n, marks, shifts, mib):
+    values = np.zeros(n)
+    values[np.linspace(0, n - 1, marks).astype(int)] = 1.0
+    indices = (np.arange(shifts)[:, None] * n + np.arange(n)).ravel()
+    tracemalloc.start()
+    try:
+        direct_bins(values, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2 ** 20
 
 
 @pytest.mark.parametrize("z", [True, 2.0, np.float64(3.0)],
