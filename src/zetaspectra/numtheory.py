@@ -21,6 +21,12 @@ Both take theta from its asymptotic series, 4.6e-9 off at g_-1 = 9.6669; the
 first route's Z moves only by |Z| (1 - cos e) for a phase error e. Below g_-1,
 Z = -|zeta(1/2 + i t)|: no zero lies there, and Z(0) = zeta(1/2) < 0.
 
+Z read for its sign alone (Gram points, halvings, cell edges) comes from
+``_z_signs``: the Riemann-Siegel formula from t = 200, where Gabcke's bound
+holds, and the routes above below 200 and where ``_z_error`` leaves open the
+sign or, at cell edges, whether |Z| < ``_DOUBT``. Regula falsi reads only the
+routes above.
+
 Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
 n pi, in one batched call, and a block's intervals halved while it shows too
 few sign changes, about 1.25 Z values per zero. Below Rosser's first failure a
@@ -350,6 +356,42 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
     return z
 
 
+# Gabcke proves his bound on the remainder after C4 from this height on.
+_RS_PROVEN = 200.0
+
+
+def _z_error(t, m):
+    """|_rs_z - Z| at t >= _RS_PROVEN, m = floor(tau), elementwise: Gabcke's
+    bound 0.017 t^(-11/4) plus a rounding model, 2 u (|theta| + t log m)
+    sum_{n<=m} n^-1/2, u = 2^-53, as each phase theta - t log n is off by
+    about u (|theta| + t log n) and _rs_z doubles the sum. The model is not
+    proven (theta's, log n's and cos's own rounding are left out), but below
+    RS_CROSSOVER, the one range where it settles signs, Gabcke's part is
+    over 15 times it. Measured to 1e5, at most 0.7 of it; _z_batch's 0.01
+    below 1000."""
+    logs, rsqrt = _n_terms(int(np.max(m, initial=1)))
+    return (0.017 * t ** -2.75 + 2.0 ** -52 * np.cumsum(rsqrt)[m - 1]
+            * (np.abs(_theta_series(t)) + t * logs[m - 1]))
+
+
+def _z_signs(ts: np.ndarray, level: float = 0.0) -> np.ndarray:
+    """Z at ts >= g_-1, as _z_batch's for its sign and for whether |Z| <
+    level: from _RS_PROVEN to RS_CROSSOVER _rs_z (up to 12 cosines a point,
+    _z_batch's up to 400) where |Z| is over _z_error from 0 and from level,
+    which settles both; _z_batch everywhere else."""
+    z = np.empty_like(ts)
+    rs = (ts >= _RS_PROVEN) & (ts < RS_CROSSOVER)
+    t = ts[rs]
+    tau = np.sqrt(t / TWO_PI)
+    m = tau.astype(int)
+    z[rs] = _blockwise(_rs_z, t, tau, m)
+    bound, size = _z_error(t, m), np.abs(z[rs])
+    exact = ~rs
+    exact[rs] = (size <= bound) | (np.abs(size - level) <= bound)
+    z[exact] = _z_batch(ts[exact])
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Zero location
 # ---------------------------------------------------------------------------
@@ -402,6 +444,7 @@ _HALVINGS = 8
 # Brackets narrower than this many grid cells may take cells from edge signs.
 _CELL_EDGES = 8
 _ZERO_WIDTH = 1e-9  # of each zero's final bracket
+_DOUBT = 1e-6  # a cell edge's |Z| below which its sign is in doubt
 _ROSSER_FAILS = 13_999_525  # Gram point where Rosser's rule first fails
 
 
@@ -425,9 +468,9 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     g_n is good where (-1)^n Z(g_n) > 0. For n < _ROSSER_FAILS (DomainError at
     once past it) a Gram block, k intervals from one good point to the next,
     holds exactly k zeros (Rosser's rule, Lehman 1970; Brent 1979). A block
-    with fewer sign changes is halved, one _z_batch call a round, up to
-    _HALVINGS rounds; one with more raises MissedZeroError at once, as halving
-    only adds sign changes. Blocks and halvings depend on n alone.
+    with fewer sign changes is halved, up to _HALVINGS rounds; one with more
+    raises MissedZeroError at once, as halving only adds sign changes. Blocks
+    and halvings depend on n alone. Z comes from _z_signs, one call a round.
     """
     if t_max > _gram_points(_ROSSER_FAILS - pad - 1):
         raise DomainError(f"t_max {t_max} is past t = 6 820 051, where "
@@ -436,7 +479,7 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     n = np.arange(max(-1, lo - pad),
                   math.ceil(_theta_series(t_max) / math.pi) + pad + 1)
     t = _gram_points(n)
-    z = _z_batch(t)
+    z = _z_signs(t)
     good = np.flatnonzero(np.where(n % 2, -z, z) > 0.0)
     below = good[(t[good] <= t_min) | (n[good] == -1)]
     above = good[t[good] >= t_max]
@@ -461,23 +504,24 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
             return t, z, change
         split = np.flatnonzero(np.isin(block, short)) + 1
         mid = 0.5 * (t[split - 1] + t[split])
-        t, z = np.insert(t, split, mid), np.insert(z, split, _z_batch(mid))
+        t, z = np.insert(t, split, mid), np.insert(z, split, _z_signs(mid))
         ends = np.insert(ends, split, False)
 
 
 def _cell_values(a, b, fa, delta):
     """For brackets [a, b] of a zero each, from Z at the cell edges (k - 1/2)
-    delta inside them (one _z_batch call): the midpoint of the part in the
+    delta inside them (one _z_signs call): the midpoint of the part in the
     cell floor(x/delta + 1/2) where the sign flips, and whether an edge value
-    is below 1e-6 (2800 times the worst error of Z to 1e5) and so in doubt.
+    is below _DOUBT (over 100 times _z_error from t = 200 to 1e5, under it
+    from 5.7e6 to Rosser's limit) and so in doubt, as from _z_batch's values.
     """
     first = np.floor(a / delta + 0.5)
     count = (np.floor(b / delta + 0.5) - first).astype(int)  # edges inside
     owner = np.repeat(np.arange(a.size), count)
     k = (first + 1 - count.cumsum() + count)[owner] + np.arange(owner.size)
-    fe = _z_batch((k - 0.5) * delta)
+    fe = _z_signs((k - 0.5) * delta, _DOUBT)
     cell = first + np.bincount(owner, (fe < 0.0) == (fa[owner] < 0.0), a.size)
-    doubt = np.bincount(owner, np.abs(fe) < 1e-6, a.size) > 0
+    doubt = np.bincount(owner, np.abs(fe) < _DOUBT, a.size) > 0
     return 0.5 * (np.maximum(a, (cell - 0.5) * delta)
                   + np.minimum(b, (cell + 0.5) * delta)), doubt
 
@@ -488,10 +532,11 @@ def find_zeros(t_min: float, t_max: float,
 
     The brackets come from Gram blocks (_sign_changes: exactly one sign
     change per zero, or MissedZeroError), whatever the ends, so (t_min,
-    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. Each
-    is narrowed by two rounds of regula falsi, one _z_batch call each, then
-    by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero is the
-    midpoint.
+    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. With
+    Z at its ends as from _z_batch (one call for those where _z_signs may
+    take _rs_z's), each is narrowed by two rounds of regula falsi, one
+    _z_batch call each, then by _refine (scalar riemann_siegel_Z) to
+    _ZERO_WIDTH; the zero is the midpoint.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
@@ -508,7 +553,7 @@ def find_zeros(t_min: float, t_max: float,
 
     t, z, change = _sign_changes(t_min, max(t_max, _GRAM_START))
     i = np.flatnonzero(change & (t[1:] > t_min) & (t[:-1] < t_max))
-    a, b, fa, fb = t[i], t[i + 1], z[i], z[i + 1]
+    a, b, fa = t[i], t[i + 1], z[i]
     values = np.empty(i.size)
     refine = np.ones(i.size, dtype=bool)
     if delta is not None:
@@ -516,7 +561,12 @@ def find_zeros(t_min: float, t_max: float,
         cells[-2:] = False  # the top bracket's zero may lie above t_max
         values[cells], refine[cells] = _cell_values(a[cells], b[cells],
                                                     fa[cells], delta)
-    a, b, fa, fb = a[refine], b[refine], fa[refine], fb[refine]
+    i = i[refine]
+    redo = np.zeros(t.size, dtype=bool)  # ends _z_signs may take from _rs_z
+    redo[i] = redo[i + 1] = True
+    redo &= (t >= _RS_PROVEN) & (t < RS_CROSSOVER)
+    z[redo] = _z_batch(t[redo])
+    a, b, fa, fb = t[i], t[i + 1], z[i], z[i + 1]
     for _ in range(2):
         x = a - fa * (b - a) / (fb - fa)
         fx = _z_batch(x)

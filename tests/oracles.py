@@ -126,8 +126,9 @@ def Z_oracle(t: float) -> float:
     return (cmath.exp(1j * theta) * zeta_half_oracle(t)).real
 
 
-def Z_mpmath(t: float) -> float:
-    return float(mp.siegelz(t))
+def Z_mpmath(t: float, dps: int = 20) -> float:
+    with mp.workdps(dps):
+        return float(mp.siegelz(t))
 
 
 def zeta_mpmath(s: float) -> float:

@@ -13,10 +13,11 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train)
 
-from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS, RS_CROSSOVER,
-                                   _GRAM_START, _Z_BLOCK_TERMS, _ZERO_WIDTH,
+from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _DOUBT, _EM_TERMS,
+                                   RS_CROSSOVER, _GRAM_START, _Z_BLOCK_TERMS,
+                                   _ZERO_WIDTH,
                                    _em_cutoff, _gram_points, _refine,
-                                   _rs_terms, _z_batch)
+                                   _rs_terms, _z_batch, _z_error, _z_signs)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
@@ -160,19 +161,84 @@ def test_Z_within_error_model_of_multiprecision():
     # t log n, of size up to t log t, carries about u t log M (u = 2^-53) at
     # most 6.7e-13 below t = 1000, and over the M terms weighted by n^-1/2
     # these add like sqrt(sum 1/n) = sqrt(log M + 0.58) < 2.6 of them: 2e-12.
+    # Above it see test_Z_within_its_error_bound_from_200_to_1e5.
     em = np.linspace(10.0, RS_CROSSOVER, 40, endpoint=False)
     worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
                 for t in em)
     assert worst < 2e-12
-    # Above it the remainder after C4 is at most 0.017 t^(-11/4) (Gabcke,
-    # PhD thesis, Goettingen 1979), 9.6e-11 at t = 1000, the same order as
-    # the first omitted term C5 tau^(-11/2). The same rounding model gives
-    # 2 sqrt(log m + 0.58) u t log m: 1e-12 at t = 1000, 1.5e-11 at 9000,
-    # where Gabcke's bound is 2.3e-13. The points crowd towards 1000.
-    rs = RS_CROSSOVER + 8000.0 * np.linspace(0.0, 1.0, 40) ** 2
-    worst = max(abs(riemann_siegel_Z(float(t)) - Z_mpmath(float(t)))
-                for t in rs)
-    assert worst < 1e-10
+
+
+def test_Z_within_its_error_bound_from_200_to_1e5():
+    # _z_error is Gabcke's bound on the Riemann-Siegel remainder after C4,
+    # 0.017 t^(-11/4) (PhD thesis, Goettingen 1979), proven from t = 200 and
+    # the larger part up to about 1900, plus a model of the phases'
+    # rounding, which takes over above: from 3e4 on Gabcke's part is below
+    # 1e-14 against errors near 1e-10. Both routes stay within it. Up to
+    # 3000 the bound is at most about ten times the worst error seen; the
+    # model sums the m phases' errors as if all had one sign, where they
+    # add more like a random walk, so above it is 5-20 times (seeds 0-7).
+    # The second band crowds towards 1000, where the error peaks (6e-11
+    # near 1040)
+    rng = np.random.default_rng(0)
+    bands = [(rng.uniform(200.0, RS_CROSSOVER, 8), 0.08),
+             (RS_CROSSOVER + 2000.0 * np.linspace(0.0, 1.0, 10) ** 2, 0.08),
+             (np.exp(rng.uniform(math.log(3000.0), math.log(1e5), 6)), 0.04)]
+    for ts, tight in bands:
+        want = np.array([Z_mpmath(float(t), dps=30) for t in ts])
+        bound = _z_error(ts, np.sqrt(ts / (2 * math.pi)).astype(int))
+        assert np.all(np.abs(_z_batch(ts) - want) <= bound)
+        ratio = np.abs(_z_signs(ts) - want) / bound
+        assert np.all(ratio <= 1.0) and ratio.max() >= tight, ratio
+
+
+def test_sign_route_keeps_every_sign_the_bound_leaves_open(monkeypatch):
+    # the floats on either side of zeros in [200, 1000), where |Z| is far
+    # below _z_error, and Gram points between them. A Riemann-Siegel value
+    # off by just under the bound towards the wrong sign flips the sign at
+    # the first, so the route must take _z_batch wherever |Z| <= the bound
+    zeros = find_zeros(200.0, RS_CROSSOVER).events[::40]
+    near = [_refine(riemann_siegel_Z, x - 1e-6, x + 1e-6,
+                    riemann_siegel_Z(x - 1e-6), riemann_siegel_Z(x + 1e-6),
+                    0.0) for x in zeros.tolist()]
+    gram = _gram_points(np.arange(90, 640, 40))
+    ts = np.sort(np.concatenate([np.ravel(near), gram]))
+    exact = _z_batch(ts)
+
+    def off(t, tau, m):
+        z = _z_batch(t)
+        return z - np.copysign(0.99 * _z_error(t, m), z)
+
+    tau = np.sqrt(ts / (2 * math.pi))
+    assert np.sum((off(ts, tau, tau.astype(int)) < 0.0) != (exact < 0.0)) \
+        == 2 * zeros.size
+    monkeypatch.setattr(numtheory, "_rs_z", off)
+    for level in (0.0, _DOUBT):
+        assert np.array_equal(_z_signs(ts, level) < 0.0, exact < 0.0), level
+
+
+def test_sign_route_keeps_every_doubt_the_bound_leaves_open(monkeypatch):
+    # the floats on either side of |Z| = _DOUBT next to zeros in [200,
+    # 1000). A Riemann-Siegel value off by just under the bound across that
+    # level flips whether a cell edge is in doubt, so with the level the
+    # route must take _z_batch wherever |Z| is within the bound of it
+    zeros = find_zeros(200.0, RS_CROSSOVER).events[::40].tolist()
+    sides = [math.copysign(1.0, riemann_siegel_Z(x + 1e-5)) for x in zeros]
+    level = [_refine(lambda u, s=s: s * riemann_siegel_Z(u) - _DOUBT,
+                     x, x + 1e-5, -_DOUBT, s * riemann_siegel_Z(x + 1e-5)
+                     - _DOUBT, 0.0) for x, s in zip(zeros, sides)]
+    ts = np.sort(np.ravel(level))
+    exact = np.abs(_z_batch(ts)) < _DOUBT
+
+    def off(t, tau, m):
+        z = _z_batch(t)
+        return z - np.sign(z) * np.copysign(0.99 * _z_error(t, m),
+                                            np.abs(z) - _DOUBT)
+
+    tau = np.sqrt(ts / (2 * math.pi))
+    flipped = (np.abs(off(ts, tau, tau.astype(int))) < _DOUBT) != exact
+    assert np.sum(flipped) == 2 * len(zeros)
+    monkeypatch.setattr(numtheory, "_rs_z", off)
+    assert np.array_equal(np.abs(_z_signs(ts, _DOUBT)) < _DOUBT, exact)
 
 
 def test_em_truncation_within_backlund_bound():
@@ -488,6 +554,18 @@ def test_cell_values_lie_in_the_cells_of_the_ordinates(a, b, delta,
     assert values[-1] == ordinates[-1]
 
 
+def test_sign_route_leaves_every_zero_bit_for_bit(monkeypatch, zeros_3000):
+    # the sign route only decides signs: the ends of the brackets that go
+    # to regula falsi are evaluated again by _z_batch, so with _z_batch in
+    # its place the finder returns the same floats, with delta or without
+    cases = [(0.0, 3000.0, None), (0.0, 3000.0, 1.0), (150.0, 1200.0, 0.05)]
+    fast = [zeros_3000] + [find_zeros(*c).events for c in cases[1:]]
+    monkeypatch.setattr(numtheory, "_z_signs",
+                        lambda ts, level=0.0: _z_batch(ts))
+    for case, want in zip(cases, fast):
+        assert np.array_equal(find_zeros(*case).events, want), case
+
+
 def test_gram_points_against_multiprecision():
     # theta(g_n) = n pi, at both ends of the heights in reach and between;
     # the asymptotic phase series is good to 4.6e-9 at g_-1 = 9.6669
@@ -533,14 +611,13 @@ def test_a_gram_block_with_more_sign_changes_than_intervals_raises(
     # the block [g_125, g_127], adds a spurious pair of sign changes: the
     # block shows 4 for its 2 intervals. Below Rosser's first failure a
     # block holds exactly as many zeros as intervals (Brent 1979), so the
-    # pair cannot pass, whether or not the range starts at 0
-    z_batch = numtheory._z_batch
-
+    # pair cannot pass, whether or not the range starts at 0. The flip goes
+    # into the route that gives the Gram blocks their signs
     def flipped(ts):
-        z = z_batch(ts)
+        z = _z_signs(ts)
         return np.where(np.abs(np.asarray(ts) - 281.215502) < 1e-5, -z, z)
 
-    monkeypatch.setattr(numtheory, "_z_batch", flipped)
+    monkeypatch.setattr(numtheory, "_z_signs", flipped)
     for t_min in (200.0, 0.0):
         with pytest.raises(MissedZeroError, match="Gram block"):
             find_zeros(t_min, 300.0)
@@ -577,11 +654,12 @@ def test_find_zeros_refuses_heights_past_rossers_rule(monkeypatch):
     # Rosser's rule, on which the brackets rest, first fails at Gram point
     # 13 999 525, t = 6 820 051 (Lehman 1970). A range is refused when the
     # Gram points it fetches, 8 past t_max's index, would reach it; before
-    # any Z value, so at once, however high t_max is
-    def no_batch(ts):
+    # any Z value on any route, so at once, however high t_max is
+    def no_z(ts):
         raise AssertionError("Z evaluated")
 
-    monkeypatch.setattr(numtheory, "_z_batch", no_batch)
+    for route in ("_z_signs", "_z_batch", "riemann_siegel_Z"):
+        monkeypatch.setattr(numtheory, route, no_z)
     for t_min, t_max in ((0.0, 1e7), (0.0, 1e300), (1e15, 1e15 + 1.0)):
         with pytest.raises(DomainError, match="Rosser"):
             find_zeros(t_min, t_max)
