@@ -23,9 +23,8 @@ Z = -|zeta(1/2 + i t)|: no zero lies there, and Z(0) = zeta(1/2) < 0.
 
 Z read for its sign alone (Gram points, halvings, cell edges) comes from
 ``_z_signs``: the Riemann-Siegel formula from t = 200, where Gabcke's bound
-holds, and the routes above below 200 and where ``_z_error`` leaves open the
-sign or, at cell edges, whether |Z| < ``_DOUBT``. Regula falsi reads only the
-routes above.
+holds, and the routes above below 200 and where |Z| <= ``_z_error`` leaves
+the sign open. At any height a cell edge with |Z| <= ``_z_error`` is in doubt.
 
 Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
 n pi, in one batched call, and a block's intervals halved while it shows too
@@ -112,9 +111,9 @@ class EventSequence:
 def sieve_primes(limit: int) -> EventSequence:
     """All primes <= limit, ascending, via the sieve of Eratosthenes on the
     odd numbers: flag i stands for 2i + 1, but flag 0 for 2, not 1."""
+    limit = _integer("sieve limit", limit)
     if not 2 <= limit < np.iinfo(np.intp).max:  # each odd n <= limit an intp
         raise DomainError(f"sieve limit must be in 2..2^63 - 2, got {limit}")
-    limit = int(limit)
     flags = np.ones((limit + 1) // 2, dtype=bool)
     for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p // 2]:
@@ -360,34 +359,34 @@ def _z_batch(ts: np.ndarray) -> np.ndarray:
 _RS_PROVEN = 200.0
 
 
-def _z_error(t, m):
-    """|_rs_z - Z| at t >= _RS_PROVEN, m = floor(tau), elementwise: Gabcke's
-    bound 0.017 t^(-11/4) plus a rounding model, 2 u (|theta| + t log m)
-    sum_{n<=m} n^-1/2, u = 2^-53, as each phase theta - t log n is off by
-    about u (|theta| + t log n) and _rs_z doubles the sum. The model is not
-    proven (theta's, log n's and cos's own rounding are left out), but below
-    RS_CROSSOVER, the one range where it settles signs, Gabcke's part is
-    over 15 times it. Measured to 1e5, at most 0.7 of it; _z_batch's 0.01
-    below 1000."""
+def _z_error(t):
+    """|_rs_z - Z| at t >= _RS_PROVEN, elementwise: Gabcke's bound 0.017
+    t^(-11/4) plus a rounding model, 2 u (|theta| + t log m) sum_{n<=m}
+    n^-1/2, m = floor(sqrt(t/2pi)), u = 2^-53, as each phase theta - t log n
+    is off by about u (|theta| + t log n) and _rs_z doubles the sum. The
+    model is not proven (theta's, log n's and cos's own rounding are left
+    out), but below RS_CROSSOVER, where it settles _z_signs' signs, Gabcke's
+    part is over 15 times it. Measured to 1e5, at most 0.7 of it; _z_batch's
+    0.01 below 1000. Below _RS_PROVEN it is no proven bound for the
+    Euler-Maclaurin values but a conservative doubt level: 8e-9 at t = 200,
+    against at most 1.2e-12 of measured error."""
+    m = np.sqrt(t / TWO_PI).astype(int)
     logs, rsqrt = _n_terms(int(np.max(m, initial=1)))
     return (0.017 * t ** -2.75 + 2.0 ** -52 * np.cumsum(rsqrt)[m - 1]
             * (np.abs(_theta_series(t)) + t * logs[m - 1]))
 
 
-def _z_signs(ts: np.ndarray, level: float = 0.0) -> np.ndarray:
-    """Z at ts >= g_-1, as _z_batch's for its sign and for whether |Z| <
-    level: from _RS_PROVEN to RS_CROSSOVER _rs_z (up to 12 cosines a point,
-    _z_batch's up to 400) where |Z| is over _z_error from 0 and from level,
-    which settles both; _z_batch everywhere else."""
+def _z_signs(ts: np.ndarray) -> np.ndarray:
+    """Z at ts >= g_-1 with _z_batch's sign: from _RS_PROVEN to RS_CROSSOVER
+    _rs_z (up to 12 cosines a point, _z_batch's up to 400) where |Z| is over
+    _z_error, which settles the sign; _z_batch everywhere else."""
     z = np.empty_like(ts)
     rs = (ts >= _RS_PROVEN) & (ts < RS_CROSSOVER)
     t = ts[rs]
     tau = np.sqrt(t / TWO_PI)
-    m = tau.astype(int)
-    z[rs] = _blockwise(_rs_z, t, tau, m)
-    bound, size = _z_error(t, m), np.abs(z[rs])
+    z[rs] = _blockwise(_rs_z, t, tau, tau.astype(int))
     exact = ~rs
-    exact[rs] = (size <= bound) | (np.abs(size - level) <= bound)
+    exact[rs] = np.abs(z[rs]) <= _z_error(t)
     z[exact] = _z_batch(ts[exact])
     return z
 
@@ -444,7 +443,6 @@ _HALVINGS = 8
 # Brackets narrower than this many grid cells may take cells from edge signs.
 _CELL_EDGES = 8
 _ZERO_WIDTH = 1e-9  # of each zero's final bracket
-_DOUBT = 1e-6  # a cell edge's |Z| below which its sign is in doubt
 _ROSSER_FAILS = 13_999_525  # Gram point where Rosser's rule first fails
 
 
@@ -511,17 +509,17 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
 def _cell_values(a, b, fa, delta):
     """For brackets [a, b] of a zero each, from Z at the cell edges (k - 1/2)
     delta inside them (one _z_signs call): the midpoint of the part in the
-    cell floor(x/delta + 1/2) where the sign flips, and whether an edge value
-    is below _DOUBT (over 100 times _z_error from t = 200 to 1e5, under it
-    from 5.7e6 to Rosser's limit) and so in doubt, as from _z_batch's values.
+    cell floor(x/delta + 1/2) where the sign flips, and whether an edge's
+    |Z| is at most _z_error, which leaves its sign in doubt.
     """
     first = np.floor(a / delta + 0.5)
     count = (np.floor(b / delta + 0.5) - first).astype(int)  # edges inside
     owner = np.repeat(np.arange(a.size), count)
     k = (first + 1 - count.cumsum() + count)[owner] + np.arange(owner.size)
-    fe = _z_signs((k - 0.5) * delta, _DOUBT)
+    te = (k - 0.5) * delta
+    fe = _z_signs(te)
     cell = first + np.bincount(owner, (fe < 0.0) == (fa[owner] < 0.0), a.size)
-    doubt = np.bincount(owner, np.abs(fe) < _DOUBT, a.size) > 0
+    doubt = np.bincount(owner, np.abs(fe) <= _z_error(te), a.size) > 0
     return 0.5 * (np.maximum(a, (cell - 0.5) * delta)
                   + np.minimum(b, (cell + 0.5) * delta)), doubt
 
@@ -532,11 +530,10 @@ def find_zeros(t_min: float, t_max: float,
 
     The brackets come from Gram blocks (_sign_changes: exactly one sign
     change per zero, or MissedZeroError), whatever the ends, so (t_min,
-    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. With
-    Z at its ends as from _z_batch (one call for those where _z_signs may
-    take _rs_z's), each is narrowed by two rounds of regula falsi, one
-    _z_batch call each, then by _refine (scalar riemann_siegel_Z) to
-    _ZERO_WIDTH; the zero is the midpoint.
+    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. From
+    Z at its ends as _z_signs gives it, each is narrowed by two rounds of
+    regula falsi, one _z_batch call each, then by _refine (scalar
+    riemann_siegel_Z) to _ZERO_WIDTH; the zero is the midpoint.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
@@ -562,10 +559,6 @@ def find_zeros(t_min: float, t_max: float,
         values[cells], refine[cells] = _cell_values(a[cells], b[cells],
                                                     fa[cells], delta)
     i = i[refine]
-    redo = np.zeros(t.size, dtype=bool)  # ends _z_signs may take from _rs_z
-    redo[i] = redo[i + 1] = True
-    redo &= (t >= _RS_PROVEN) & (t < RS_CROSSOVER)
-    z[redo] = _z_batch(t[redo])
     a, b, fa, fb = t[i], t[i + 1], z[i], z[i + 1]
     for _ in range(2):
         x = a - fa * (b - a) / (fb - fa)

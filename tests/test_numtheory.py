@@ -13,9 +13,9 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          find_zeros, load_zeros, riemann_siegel_Z,
                          sieve_primes, synthetic_train)
 
-from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _DOUBT, _EM_TERMS,
+from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS,
                                    RS_CROSSOVER, _GRAM_START, _Z_BLOCK_TERMS,
-                                   _ZERO_WIDTH,
+                                   _ZERO_WIDTH, _cell_values,
                                    _em_cutoff, _gram_points, _refine,
                                    _rs_terms, _z_batch, _z_error, _z_signs)
 
@@ -44,7 +44,7 @@ def test_sieve_order():
     assert np.all(np.diff(sieve_primes(100).events) > 0)
 
 
-@pytest.mark.parametrize("limit", [1, 0, -5])
+@pytest.mark.parametrize("limit", [1, 0, -5, 100.5, np.float64(100.0)])
 def test_sieve_rejects_empty_domain(limit):
     with pytest.raises(DomainError):
         sieve_primes(limit)
@@ -185,7 +185,7 @@ def test_Z_within_its_error_bound_from_200_to_1e5():
              (np.exp(rng.uniform(math.log(3000.0), math.log(1e5), 6)), 0.04)]
     for ts, tight in bands:
         want = np.array([Z_mpmath(float(t), dps=30) for t in ts])
-        bound = _z_error(ts, np.sqrt(ts / (2 * math.pi)).astype(int))
+        bound = _z_error(ts)
         assert np.all(np.abs(_z_batch(ts) - want) <= bound)
         ratio = np.abs(_z_signs(ts) - want) / bound
         assert np.all(ratio <= 1.0) and ratio.max() >= tight, ratio
@@ -206,39 +206,13 @@ def test_sign_route_keeps_every_sign_the_bound_leaves_open(monkeypatch):
 
     def off(t, tau, m):
         z = _z_batch(t)
-        return z - np.copysign(0.99 * _z_error(t, m), z)
+        return z - np.copysign(0.99 * _z_error(t), z)
 
     tau = np.sqrt(ts / (2 * math.pi))
     assert np.sum((off(ts, tau, tau.astype(int)) < 0.0) != (exact < 0.0)) \
         == 2 * zeros.size
     monkeypatch.setattr(numtheory, "_rs_z", off)
-    for level in (0.0, _DOUBT):
-        assert np.array_equal(_z_signs(ts, level) < 0.0, exact < 0.0), level
-
-
-def test_sign_route_keeps_every_doubt_the_bound_leaves_open(monkeypatch):
-    # the floats on either side of |Z| = _DOUBT next to zeros in [200,
-    # 1000). A Riemann-Siegel value off by just under the bound across that
-    # level flips whether a cell edge is in doubt, so with the level the
-    # route must take _z_batch wherever |Z| is within the bound of it
-    zeros = find_zeros(200.0, RS_CROSSOVER).events[::40].tolist()
-    sides = [math.copysign(1.0, riemann_siegel_Z(x + 1e-5)) for x in zeros]
-    level = [_refine(lambda u, s=s: s * riemann_siegel_Z(u) - _DOUBT,
-                     x, x + 1e-5, -_DOUBT, s * riemann_siegel_Z(x + 1e-5)
-                     - _DOUBT, 0.0) for x, s in zip(zeros, sides)]
-    ts = np.sort(np.ravel(level))
-    exact = np.abs(_z_batch(ts)) < _DOUBT
-
-    def off(t, tau, m):
-        z = _z_batch(t)
-        return z - np.sign(z) * np.copysign(0.99 * _z_error(t, m),
-                                            np.abs(z) - _DOUBT)
-
-    tau = np.sqrt(ts / (2 * math.pi))
-    flipped = (np.abs(off(ts, tau, tau.astype(int))) < _DOUBT) != exact
-    assert np.sum(flipped) == 2 * len(zeros)
-    monkeypatch.setattr(numtheory, "_rs_z", off)
-    assert np.array_equal(np.abs(_z_signs(ts, _DOUBT)) < _DOUBT, exact)
+    assert np.array_equal(_z_signs(ts) < 0.0, exact < 0.0)
 
 
 def test_em_truncation_within_backlund_bound():
@@ -554,16 +528,37 @@ def test_cell_values_lie_in_the_cells_of_the_ordinates(a, b, delta,
     assert values[-1] == ordinates[-1]
 
 
-def test_sign_route_leaves_every_zero_bit_for_bit(monkeypatch, zeros_3000):
-    # the sign route only decides signs: the ends of the brackets that go
-    # to regula falsi are evaluated again by _z_batch, so with _z_batch in
-    # its place the finder returns the same floats, with delta or without
+def test_sign_route_changes_no_count_and_no_cell(monkeypatch, zeros_3000):
+    # regula falsi starts from the sign route's end values, which may be
+    # _rs_z's, so the ordinates may move, but by less than a final bracket;
+    # with _z_batch in its place the finder finds as many zeros, and with
+    # delta the same cells and the same largest value
     cases = [(0.0, 3000.0, None), (0.0, 3000.0, 1.0), (150.0, 1200.0, 0.05)]
     fast = [zeros_3000] + [find_zeros(*c).events for c in cases[1:]]
-    monkeypatch.setattr(numtheory, "_z_signs",
-                        lambda ts, level=0.0: _z_batch(ts))
-    for case, want in zip(cases, fast):
-        assert np.array_equal(find_zeros(*case).events, want), case
+    monkeypatch.setattr(numtheory, "_z_signs", _z_batch)
+    for (a, b, delta), got in zip(cases, fast):
+        want = find_zeros(a, b, delta).events
+        assert got.size == want.size, (a, b, delta)
+        if delta is None:
+            assert np.all(np.abs(got - want) <= _ZERO_WIDTH)
+        else:
+            assert np.array_equal(np.floor(got / delta + 0.5),
+                                  np.floor(want / delta + 0.5))
+            assert got[-1] == want[-1]
+
+
+def test_cell_edge_within_the_error_bound_is_in_doubt(monkeypatch):
+    # near t = 6.5e6 _z_error is about 1.2e-6: an edge reading |Z| = 1.1e-6
+    # has a sign the bound leaves open, so its bracket must be refined,
+    # while one reading 1.5e-6 takes its cell from the signs
+    a, b, fa = np.array([6.5e6 + 0.12]), np.array([6.5e6 + 0.38]), -np.ones(1)
+    assert 1.1e-6 < _z_error(6.5e6 + 0.25) < 1.5e-6
+    for size, doubt in ((1.1e-6, True), (1.5e-6, False)):
+        monkeypatch.setattr(numtheory, "_z_signs",
+                            lambda ts, size=size: np.full(ts.shape, size))
+        value, flagged = _cell_values(a, b, fa, 0.1)
+        assert flagged.tolist() == [doubt], size
+        assert math.floor(value[0] / 0.1 + 0.5) == 65_000_001
 
 
 def test_gram_points_against_multiprecision():
