@@ -21,10 +21,10 @@ Both take theta from its asymptotic series, 4.6e-9 off at g_-1 = 9.6669; the
 first route's Z moves only by |Z| (1 - cos e) for a phase error e. Below g_-1,
 Z = -|zeta(1/2 + i t)|: no zero lies there, and Z(0) = zeta(1/2) < 0.
 
-Z read for its sign alone (Gram points, halvings, cell edges) comes from
-``_z_signs``: the Riemann-Siegel formula from t = 200, where Gabcke's bound
-holds, and the routes above below 200 and where |Z| <= ``_z_error`` leaves
-the sign open. At any height a cell edge with |Z| <= ``_z_error`` is in doubt.
+``_z_batch``, the zero finder's batched Z, takes the Riemann-Siegel formula
+from t = 200, where Gabcke's bound holds; the first route below 200, and below
+RS_CROSSOVER where |Z| <= ``_z_error`` leaves the sign open, so each sign is
+``riemann_siegel_Z``'s. A cell edge with |Z| <= ``_z_error`` is in doubt.
 
 Zeros are bracketed by Gram blocks: Z at the Gram points g_n, theta(g_n) =
 n pi, in one batched call, and a block's intervals halved while it shows too
@@ -335,23 +335,28 @@ def _blockwise(rows, *cols) -> np.ndarray:
 
 
 def _z_batch(ts: np.ndarray) -> np.ndarray:
-    """riemann_siegel_Z at every point of ts >= g_-1, by the same formulas.
+    """Z at every point of ts >= g_-1, with riemann_siegel_Z's sign.
 
-    Each route sums a matrix of real cosine terms block by block, each row
-    in order to its own cutoff, so every value depends on its t alone. Sorted
-    input keeps the padding small, since a block is as wide as its largest
-    cutoff.
+    From _RS_PROVEN on the Riemann-Siegel formula; below RS_CROSSOVER, any
+    point where |Z| <= _z_error, which leaves the sign open, and every point
+    below _RS_PROVEN take the Euler-Maclaurin route instead (up to 400
+    cosines a point, against up to 12). Each route sums a matrix of real
+    cosine terms block by block, each row in order to its own cutoff, so
+    every value depends on its t alone. Sorted input keeps the padding
+    small, since a block is as wide as its largest cutoff.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(ok := (ts >= _GRAM_START) & (ts < math.inf)):
         raise DomainError(f"batched Z needs g_-1 <= t < inf, got {ts[~ok][0]}")
     z = np.empty_like(ts)
-    em = ts < RS_CROSSOVER
+    rs = ts >= _RS_PROVEN
+    t = ts[rs]
+    tau = np.sqrt(t / TWO_PI)
+    z[rs] = _blockwise(_rs_z, t, tau, tau.astype(int))
+    em = ~rs
+    em[rs] = (t < RS_CROSSOVER) & (np.abs(z[rs]) <= _z_error(t))
     t = ts[em]
     z[em] = _blockwise(_em_z, t, _em_cutoff(t))
-    t = ts[~em]
-    tau = np.sqrt(t / TWO_PI)
-    z[~em] = _blockwise(_rs_z, t, tau, tau.astype(int))
     return z
 
 
@@ -365,30 +370,15 @@ def _z_error(t):
     n^-1/2, m = floor(sqrt(t/2pi)), u = 2^-53, as each phase theta - t log n
     is off by about u (|theta| + t log n) and _rs_z doubles the sum. The
     model is not proven (theta's, log n's and cos's own rounding are left
-    out), but below RS_CROSSOVER, where it settles _z_signs' signs, Gabcke's
-    part is over 15 times it. Measured to 1e5, at most 0.7 of it; _z_batch's
-    0.01 below 1000. Below _RS_PROVEN it is no proven bound for the
-    Euler-Maclaurin values but a conservative doubt level: 8e-9 at t = 200,
-    against at most 1.2e-12 of measured error."""
+    out), but below RS_CROSSOVER, where it settles _z_batch's signs, Gabcke's
+    part is over 15 times it. Measured to 1e5, at most 0.7 of it;
+    riemann_siegel_Z's 0.01 below 1000. Below _RS_PROVEN it is no proven
+    bound for the Euler-Maclaurin values but a conservative doubt level:
+    8e-9 at t = 200, against at most 1.2e-12 of measured error."""
     m = np.sqrt(t / TWO_PI).astype(int)
     logs, rsqrt = _n_terms(int(np.max(m, initial=1)))
     return (0.017 * t ** -2.75 + 2.0 ** -52 * np.cumsum(rsqrt)[m - 1]
             * (np.abs(_theta_series(t)) + t * logs[m - 1]))
-
-
-def _z_signs(ts: np.ndarray) -> np.ndarray:
-    """Z at ts >= g_-1 with _z_batch's sign: from _RS_PROVEN to RS_CROSSOVER
-    _rs_z (up to 12 cosines a point, _z_batch's up to 400) where |Z| is over
-    _z_error, which settles the sign; _z_batch everywhere else."""
-    z = np.empty_like(ts)
-    rs = (ts >= _RS_PROVEN) & (ts < RS_CROSSOVER)
-    t = ts[rs]
-    tau = np.sqrt(t / TWO_PI)
-    z[rs] = _blockwise(_rs_z, t, tau, tau.astype(int))
-    exact = ~rs
-    exact[rs] = np.abs(z[rs]) <= _z_error(t)
-    z[exact] = _z_batch(ts[exact])
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +458,7 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     holds exactly k zeros (Rosser's rule, Lehman 1970; Brent 1979). A block
     with fewer sign changes is halved, up to _HALVINGS rounds; one with more
     raises MissedZeroError at once, as halving only adds sign changes. Blocks
-    and halvings depend on n alone. Z comes from _z_signs, one call a round.
+    and halvings depend on n alone. Z comes from _z_batch, one call a round.
     """
     if t_max > _gram_points(_ROSSER_FAILS - pad - 1):
         raise DomainError(f"t_max {t_max} is past t = 6 820 051, where "
@@ -477,7 +467,7 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
     n = np.arange(max(-1, lo - pad),
                   math.ceil(_theta_series(t_max) / math.pi) + pad + 1)
     t = _gram_points(n)
-    z = _z_signs(t)
+    z = _z_batch(t)
     good = np.flatnonzero(np.where(n % 2, -z, z) > 0.0)
     below = good[(t[good] <= t_min) | (n[good] == -1)]
     above = good[t[good] >= t_max]
@@ -502,13 +492,13 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
             return t, z, change
         split = np.flatnonzero(np.isin(block, short)) + 1
         mid = 0.5 * (t[split - 1] + t[split])
-        t, z = np.insert(t, split, mid), np.insert(z, split, _z_signs(mid))
+        t, z = np.insert(t, split, mid), np.insert(z, split, _z_batch(mid))
         ends = np.insert(ends, split, False)
 
 
 def _cell_values(a, b, fa, delta):
     """For brackets [a, b] of a zero each, from Z at the cell edges (k - 1/2)
-    delta inside them (one _z_signs call): the midpoint of the part in the
+    delta inside them (one _z_batch call): the midpoint of the part in the
     cell floor(x/delta + 1/2) where the sign flips, and whether an edge's
     |Z| is at most _z_error, which leaves its sign in doubt.
     """
@@ -517,7 +507,7 @@ def _cell_values(a, b, fa, delta):
     owner = np.repeat(np.arange(a.size), count)
     k = (first + 1 - count.cumsum() + count)[owner] + np.arange(owner.size)
     te = (k - 0.5) * delta
-    fe = _z_signs(te)
+    fe = _z_batch(te)
     cell = first + np.bincount(owner, (fe < 0.0) == (fa[owner] < 0.0), a.size)
     doubt = np.bincount(owner, np.abs(fe) <= _z_error(te), a.size) > 0
     return 0.5 * (np.maximum(a, (cell - 0.5) * delta)
@@ -530,10 +520,10 @@ def find_zeros(t_min: float, t_max: float,
 
     The brackets come from Gram blocks (_sign_changes: exactly one sign
     change per zero, or MissedZeroError), whatever the ends, so (t_min,
-    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max. From
-    Z at its ends as _z_signs gives it, each is narrowed by two rounds of
-    regula falsi, one _z_batch call each, then by _refine (scalar
-    riemann_siegel_Z) to _ZERO_WIDTH; the zero is the midpoint.
+    t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max.
+    Each is narrowed by two rounds of regula falsi, one _z_batch call each,
+    then by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero is
+    the midpoint.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an

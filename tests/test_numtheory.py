@@ -14,10 +14,10 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
                          sieve_primes, synthetic_train)
 
 from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS,
-                                   RS_CROSSOVER, _GRAM_START, _Z_BLOCK_TERMS,
-                                   _ZERO_WIDTH, _cell_values,
+                                   RS_CROSSOVER, _GRAM_START, _RS_PROVEN,
+                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _cell_values,
                                    _em_cutoff, _gram_points, _refine,
-                                   _rs_terms, _z_batch, _z_error, _z_signs)
+                                   _rs_terms, _z_batch, _z_error)
 
 from conftest import ZEROS_BELOW_100
 from oracles import (Z_mpmath, Z_oracle, em_remainder_bound_mpmath,
@@ -173,10 +173,11 @@ def test_Z_within_its_error_bound_from_200_to_1e5():
     # 0.017 t^(-11/4) (PhD thesis, Goettingen 1979), proven from t = 200 and
     # the larger part up to about 1900, plus a model of the phases'
     # rounding, which takes over above: from 3e4 on Gabcke's part is below
-    # 1e-14 against errors near 1e-10. Both routes stay within it. Up to
-    # 3000 the bound is at most about ten times the worst error seen; the
-    # model sums the m phases' errors as if all had one sign, where they
-    # add more like a random walk, so above it is 5-20 times (seeds 0-7).
+    # 1e-14 against errors near 1e-10. The batched and the scalar route,
+    # which _refine reads, stay within it. Up to 3000 the bound is at most
+    # about ten times the batch's worst error seen; the model sums the m
+    # phases' errors as if all had one sign, where they add more like a
+    # random walk, so above it is 5-20 times (seeds 0-7).
     # The second band crowds towards 1000, where the error peaks (6e-11
     # near 1040)
     rng = np.random.default_rng(0)
@@ -186,8 +187,9 @@ def test_Z_within_its_error_bound_from_200_to_1e5():
     for ts, tight in bands:
         want = np.array([Z_mpmath(float(t), dps=30) for t in ts])
         bound = _z_error(ts)
-        assert np.all(np.abs(_z_batch(ts) - want) <= bound)
-        ratio = np.abs(_z_signs(ts) - want) / bound
+        scalar = np.array([riemann_siegel_Z(float(t)) for t in ts])
+        assert np.all(np.abs(scalar - want) <= bound)
+        ratio = np.abs(_z_batch(ts) - want) / bound
         assert np.all(ratio <= 1.0) and ratio.max() >= tight, ratio
 
 
@@ -195,24 +197,26 @@ def test_sign_route_keeps_every_sign_the_bound_leaves_open(monkeypatch):
     # the floats on either side of zeros in [200, 1000), where |Z| is far
     # below _z_error, and Gram points between them. A Riemann-Siegel value
     # off by just under the bound towards the wrong sign flips the sign at
-    # the first, so the route must take _z_batch wherever |Z| <= the bound
+    # the first, so _z_batch must take the Euler-Maclaurin route wherever
+    # |Z| <= the bound. The stub reads scalar Z, which takes that route
+    # below RS_CROSSOVER; _z_batch would call the stub again
     zeros = find_zeros(200.0, RS_CROSSOVER).events[::40]
     near = [_refine(riemann_siegel_Z, x - 1e-6, x + 1e-6,
                     riemann_siegel_Z(x - 1e-6), riemann_siegel_Z(x + 1e-6),
                     0.0) for x in zeros.tolist()]
     gram = _gram_points(np.arange(90, 640, 40))
     ts = np.sort(np.concatenate([np.ravel(near), gram]))
-    exact = _z_batch(ts)
+    exact = np.array([riemann_siegel_Z(float(t)) for t in ts])
 
     def off(t, tau, m):
-        z = _z_batch(t)
+        z = np.array([riemann_siegel_Z(float(x)) for x in t])
         return z - np.copysign(0.99 * _z_error(t), z)
 
     tau = np.sqrt(ts / (2 * math.pi))
     assert np.sum((off(ts, tau, tau.astype(int)) < 0.0) != (exact < 0.0)) \
         == 2 * zeros.size
     monkeypatch.setattr(numtheory, "_rs_z", off)
-    assert np.array_equal(_z_signs(ts) < 0.0, exact < 0.0)
+    assert np.array_equal(_z_batch(ts) < 0.0, exact < 0.0)
 
 
 def test_em_truncation_within_backlund_bound():
@@ -246,20 +250,28 @@ def test_remainder_table_against_multiprecision():
 
 
 def test_batched_Z_matches_scalar():
-    # the batch's lowest point g_-1, the crossover exactly and just below
-    # it, and a grid up to 9000 whose points fill more than one block on each
-    # route: a row holds M = _em_cutoff(t) terms below the crossover,
-    # floor(tau) above it
-    grid = np.linspace(_GRAM_START, 9000.0, 40001)
-    ts = np.concatenate([[_GRAM_START, 9.999, 10.0, RS_CROSSOVER,
+    # the batch's lowest point g_-1, both ends of the Riemann-Siegel band
+    # [_RS_PROVEN, RS_CROSSOVER) and just below each, and grids up to 9000
+    # whose points fill more than one block on each route: a row holds
+    # M = _em_cutoff(t) terms below _RS_PROVEN, floor(tau) from it on. In
+    # the band the routes differ, so there the batch is within _z_error of
+    # the scalar route, with its sign; elsewhere they sum the same formulas
+    grid = np.concatenate([np.linspace(_GRAM_START, _RS_PROVEN, 2001,
+                                       endpoint=False),
+                           np.linspace(_GRAM_START, 9000.0, 40001)])
+    ts = np.concatenate([[_GRAM_START, 9.999, 10.0, _RS_PROVEN,
+                          np.nextafter(_RS_PROVEN, 0.0), RS_CROSSOVER,
                           np.nextafter(RS_CROSSOVER, 0.0)], grid])
-    em, rs = grid[grid < RS_CROSSOVER], grid[grid >= RS_CROSSOVER]
+    em, rs = grid[grid < _RS_PROVEN], grid[grid >= _RS_PROVEN]
     assert em.size * _em_cutoff(em.max()) > _Z_BLOCK_TERMS
     assert rs.size * math.floor(math.sqrt(rs.max() / (2 * math.pi))) \
         > _Z_BLOCK_TERMS
     batch = _z_batch(ts)
     scalar = np.array([riemann_siegel_Z(float(t)) for t in ts])
-    assert np.max(np.abs(batch - scalar)) < 1e-12
+    band = (ts >= _RS_PROVEN) & (ts < RS_CROSSOVER)
+    assert np.max(np.abs(batch - scalar)[~band]) < 1e-12
+    assert np.all(np.abs(batch - scalar)[band] <= _z_error(ts[band]))
+    assert np.array_equal(batch[band] < 0.0, scalar[band] < 0.0)
     # each value depends on its t alone: neither the order nor the padding
     # of the blocks changes a bit of it
     perm = np.random.default_rng(0).permutation(ts.size)
@@ -357,6 +369,19 @@ def test_found_zeros_within_final_width_of_multiprecision_zeros():
     assert len(found) == 29
     for n, got in enumerate(found.events, 1):
         assert abs(got - zetazero_mpmath(n)) <= _ZERO_WIDTH
+
+
+def test_found_zeros_from_200_to_1000_within_half_width_of_a_sign_change():
+    # regula falsi there starts from Riemann-Siegel values at the bracket
+    # ends and its two batched points; each zero, the midpoint of a final
+    # bracket at most _ZERO_WIDTH wide, must still lie within half of it of
+    # a sign change of mpmath.siegelz at 30 digits (every 40th zero)
+    zeros = find_zeros(_RS_PROVEN, RS_CROSSOVER).events[::40]
+    assert zeros.size >= 15
+    for x in zeros.tolist():
+        lo = Z_mpmath(x - 0.5 * _ZERO_WIDTH, dps=30)
+        hi = Z_mpmath(x + 0.5 * _ZERO_WIDTH, dps=30)
+        assert lo * hi <= 0.0, x
 
 
 def test_refinement_calls_scalar_Z_a_few_times_per_zero(monkeypatch):
@@ -529,13 +554,14 @@ def test_cell_values_lie_in_the_cells_of_the_ordinates(a, b, delta,
 
 
 def test_sign_route_changes_no_count_and_no_cell(monkeypatch, zeros_3000):
-    # regula falsi starts from the sign route's end values, which may be
-    # _rs_z's, so the ordinates may move, but by less than a final bracket;
-    # with _z_batch in its place the finder finds as many zeros, and with
-    # delta the same cells and the same largest value
+    # from _RS_PROVEN to RS_CROSSOVER _z_batch reads _rs_z where the bound
+    # settles the sign, so the ordinates may move, but by less than a final
+    # bracket; with the Euler-Maclaurin route throughout that band the
+    # finder finds as many zeros, and with delta the same cells and the
+    # same largest value
     cases = [(0.0, 3000.0, None), (0.0, 3000.0, 1.0), (150.0, 1200.0, 0.05)]
     fast = [zeros_3000] + [find_zeros(*c).events for c in cases[1:]]
-    monkeypatch.setattr(numtheory, "_z_signs", _z_batch)
+    monkeypatch.setattr(numtheory, "_RS_PROVEN", RS_CROSSOVER)
     for (a, b, delta), got in zip(cases, fast):
         want = find_zeros(a, b, delta).events
         assert got.size == want.size, (a, b, delta)
@@ -554,7 +580,7 @@ def test_cell_edge_within_the_error_bound_is_in_doubt(monkeypatch):
     a, b, fa = np.array([6.5e6 + 0.12]), np.array([6.5e6 + 0.38]), -np.ones(1)
     assert 1.1e-6 < _z_error(6.5e6 + 0.25) < 1.5e-6
     for size, doubt in ((1.1e-6, True), (1.5e-6, False)):
-        monkeypatch.setattr(numtheory, "_z_signs",
+        monkeypatch.setattr(numtheory, "_z_batch",
                             lambda ts, size=size: np.full(ts.shape, size))
         value, flagged = _cell_values(a, b, fa, 0.1)
         assert flagged.tolist() == [doubt], size
@@ -609,10 +635,10 @@ def test_a_gram_block_with_more_sign_changes_than_intervals_raises(
     # pair cannot pass, whether or not the range starts at 0. The flip goes
     # into the route that gives the Gram blocks their signs
     def flipped(ts):
-        z = _z_signs(ts)
+        z = _z_batch(ts)
         return np.where(np.abs(np.asarray(ts) - 281.215502) < 1e-5, -z, z)
 
-    monkeypatch.setattr(numtheory, "_z_signs", flipped)
+    monkeypatch.setattr(numtheory, "_z_batch", flipped)
     for t_min in (200.0, 0.0):
         with pytest.raises(MissedZeroError, match="Gram block"):
             find_zeros(t_min, 300.0)
@@ -653,7 +679,7 @@ def test_find_zeros_refuses_heights_past_rossers_rule(monkeypatch):
     def no_z(ts):
         raise AssertionError("Z evaluated")
 
-    for route in ("_z_signs", "_z_batch", "riemann_siegel_Z"):
+    for route in ("_z_batch", "riemann_siegel_Z"):
         monkeypatch.setattr(numtheory, route, no_z)
     for t_min, t_max in ((0.0, 1e7), (0.0, 1e300), (1e15, 1e15 + 1.0)):
         with pytest.raises(DomainError, match="Rosser"):

@@ -23,7 +23,7 @@ checkout), the SHA-256 of the files under src/, which names the code
 measured either way, nproc, the Python and numpy versions, the OpenBLAS
 thread count in effect and the OPENBLAS_NUM_THREADS setting.
 `numtheory.z_eval_s` and `numtheory.z_evals` count scalar
-`riemann_siegel_Z` calls only; the batched Z routes are not in them.
+`riemann_siegel_Z` calls only; the batched Z route is not in them.
 
 `compare A B` takes FILE or FILE:LABEL (a file of one label needs none) and
 prints each metric's ratio B / A, flagging
