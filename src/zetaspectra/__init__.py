@@ -3,6 +3,19 @@ Fourier spectra, spectral property checks, and harmonic reconstruction."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it; a second thread
+# only spins here. A thread variable the user set, or numpy imported first,
+# wins, and os.environ is left as it was for child processes.
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .analysis import (detect_peaks, fermat_spiral, frequency_ratio_series,
                        pnt_ratio, reciprocal_series, reconstruct)
 from .grid import GridSpec, MangoldtSeries, build_series

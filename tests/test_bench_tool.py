@@ -1,6 +1,7 @@
-"""tools/bench.py: compare on small records, and record's argument check;
-no benchmark is run."""
+"""tools/bench.py: compare on small records, record's argument check and
+its run header; no benchmark is run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -87,3 +88,17 @@ def test_record_wants_one_label_per_checkout(tmp_path, labels):
         capture_output=True, text=True)
     assert proc.returncode != 0 and "one --label per --root" in proc.stderr
     assert not out.exists()
+
+
+def test_checkout_records_every_thread_variable_the_jobs_inherit(
+        tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for var in bench.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    header = bench.checkout(tmp_path)
+    assert {var: header[var] for var in bench.THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
+        "OMP_NUM_THREADS": "2"}

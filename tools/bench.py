@@ -20,8 +20,12 @@ so that the host's drift falls on each alike:
 It stores each run's JSON result and `record` line under its --label in
 the file, which may hold several, with the commit (None outside a git
 checkout), the SHA-256 of the files under src/, which names the code
-measured either way, nproc, the Python and numpy versions, the OpenBLAS
-thread count in effect and the OPENBLAS_NUM_THREADS setting.
+measured either way, nproc, the Python and numpy versions, `blas_threads`
+and the thread variables. `blas_threads` is the OpenBLAS thread count in
+effect in the jobs, as the first job of the first untraced run read it; the
+package starts OpenBLAS on one thread unless a thread variable is set. The
+variables are OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS as
+the recording process holds them (None where unset), which the jobs inherit.
 `numtheory.z_eval_s` and `numtheory.z_evals` count scalar
 `riemann_siegel_Z` calls only; the batched Z route is not in them.
 
@@ -57,6 +61,7 @@ SERIES = {
 SEED = 1  # perfbench's job seed, the same for every run
 SECONDS = 10.0  # each run's length
 LAYER_SLOWER = 1.10  # the largest ratio a layer's time may show unflagged
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def src_digest(root: Path) -> str:
@@ -94,7 +99,7 @@ def checkout(root: Path) -> dict:
         "commit": git.stdout.strip() if git.returncode == 0 else None,
         "src_sha256": src_digest(root),
         "nproc": len(os.sched_getaffinity(0)),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        **{var: os.environ.get(var) for var in THREAD_VARS},
         "seed": SEED,
         "seconds": SECONDS,
         "workloads": {},
