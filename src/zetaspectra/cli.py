@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import platform
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -202,7 +201,7 @@ def run(config: RunConfig) -> int:
         "versions": {
             "zetaspectra": __version__,
             "numpy": np.__version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
         },
     }
     write_manifest(out_dir / "manifest.json", manifest)

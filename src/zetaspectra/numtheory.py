@@ -31,11 +31,11 @@ n pi, in one batched call, and a block's intervals halved while it shows too
 few sign changes, about 1.25 Z values per zero. Below Rosser's first failure a
 block holds exactly as many zeros as intervals (Lehman 1970; Brent,
 Math. Comp. 33, 1979), so any other count of sign changes raises; only a wrong
-sign of Z that moves a pair within a block goes unseen. Two batched rounds of
-regula falsi, then safeguarded Illinois regula falsi, refine each bracket to
-1e-9: about five scalar ``riemann_siegel_Z`` calls per zero. Given the grid's
-period delta, most brackets take their zero's grid cell from Z's signs at the
-cell edges: 18 scalar calls up to t = 3000 at delta = 1, not 13 098.
+sign of Z that moves a pair within a block goes unseen. Illinois regula falsi
+refines all brackets to 1e-9 in rounds of one Z call on those still open
+(``_z_round``). Given the grid's period delta, most brackets take their zero's
+grid cell from Z's signs at the cell edges: to t = 3000 at delta = 1, all but
+3 of 2469.
 """
 
 from __future__ import annotations
@@ -385,47 +385,55 @@ def _z_error(t):
 # Zero location
 # ---------------------------------------------------------------------------
 
-def _refine(f, a: float, b: float, fa: float, fb: float,
-            width: float) -> tuple[float, float]:
-    """Shrink the bracket [a, b] of a sign change of f to width <= width.
+def _refine(f, a, b, fa, fb, width) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each bracket [a, b] of a sign change of f to width <= width.
 
-    Needs a < b and fa < 0 <= fb or fb < 0 <= fa. Illinois regula falsi (Dowell
-    & Jarratt, BIT 11, 1971): the secant point replaces the end whose value has
-    the same sign, and when one end is kept twice in a row its stored value is
-    halved, so the secant stops crowding the other end; the end with the
-    smaller |f| counts as the latest iterate, so the first step that replaces
-    it already halves the other end's value. Safeguard: when two Illinois steps
-    in a row leave the bracket wider than half its width before them, the next
-    step bisects, so the width halves at least once every three evaluations.
-    Stops early once no float lies strictly inside the bracket, so a width
-    below the float spacing ends too. Returns the final bracket, which holds
-    the sign change; (x, x) when f(x) == 0 exactly.
+    Brackets are lanes of arrays, each refined on its own; each round calls f
+    once, on the points of the lanes still open. Needs a < b and fa < 0 <= fb
+    or fb < 0 <= fa. Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    the secant point replaces the end whose value has the same sign, and when
+    one end is kept twice in a row its stored value is halved, so the secant
+    stops crowding the other end; the end with the smaller |f| counts as the
+    latest iterate, so the first step that replaces it already halves the
+    other end's value. Safeguard: when two Illinois steps in a row leave the
+    bracket wider than half its width before them, the next step bisects, so
+    the width halves at least once every three evaluations. A lane stops
+    early once no float lies strictly inside its bracket, so a width below
+    the float spacing ends too. Returns the final brackets, which hold the
+    sign changes; (x, x) where f(x) == 0 exactly.
     """
-    kept = "a" if abs(fb) < abs(fa) else "b"  # the end the last step kept
-    start, steps = b - a, 0  # width before the latest Illinois steps; count
-    while b - a > width and np.nextafter(a, b) < b:
-        bisect = steps == 2
-        x = 0.5 * (a + b) if bisect else a + (b - a) * (fa / (fa - fb))
+    a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (a, b, fa, fb))
+    # the end the last step kept; the width before the latest Illinois steps
+    kept_b, start, steps = np.abs(fb) >= np.abs(fa), b - a, np.zeros(a.size)
+    i = np.arange(a.size)  # the open lanes
+    while (i := i[(b[i] - a[i] > width)
+                  & (np.nextafter(a[i], b[i]) < b[i])]).size:
+        ai, bi, fai, fbi = a[i], b[i], fa[i], fb[i]
+        bisect = steps[i] == 2
+        x = np.where(bisect, 0.5 * (ai + bi),
+                     ai + (bi - ai) * (fai / (fai - fbi)))
         # Once an end sits on the root to rounding, the secant point lands on
         # that end again; a point width/2 inside it can end the search.
-        x = min(max(x, a + 0.5 * width), b - 0.5 * width)
+        x = np.minimum(np.maximum(x, ai + 0.5 * width), bi - 0.5 * width)
         fx = f(x)
-        if fx == 0.0:
-            return x, x
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa = x, fx
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
-        else:
-            b, fb = x, fx
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
-        steps += 1
-        if bisect or b - a <= 0.5 * start:
-            start, steps = b - a, 0
+        left = (fx < 0.0) == (fai < 0.0)
+        halve = np.where(left == kept_b[i], 0.5, 1.0)  # the end kept twice
+        a[i], fa[i] = np.where(left, x, ai), np.where(left, fx, halve * fai)
+        b[i], fb[i] = np.where(left, bi, x), np.where(left, halve * fbi, fx)
+        a[i[fx == 0.0]] = b[i[fx == 0.0]] = x[fx == 0.0]
+        kept_b[i], steps[i] = left, steps[i] + 1
+        reset = i[bisect | (b[i] - a[i] <= 0.5 * start[i])]
+        start[reset], steps[reset] = b[reset] - a[reset], 0
     return a, b
+
+
+def _z_round(ts: np.ndarray) -> np.ndarray:
+    """Z at the points of one _refine round: _z_batch, or riemann_siegel_Z
+    at each of at most ten points, as one _z_batch call costs about as much
+    as five to ten scalar values (below and above RS_CROSSOVER)."""
+    if ts.size > 10:
+        return _z_batch(ts)
+    return np.array([riemann_siegel_Z(t) for t in ts.tolist()])
 
 
 # Halving rounds a Gram block may take; up to t = 30000 none takes over five.
@@ -521,9 +529,8 @@ def find_zeros(t_min: float, t_max: float,
     The brackets come from Gram blocks (_sign_changes: exactly one sign
     change per zero, or MissedZeroError), whatever the ends, so (t_min,
     t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max.
-    Each is narrowed by two rounds of regula falsi, one _z_batch call each,
-    then by _refine (scalar riemann_siegel_Z) to _ZERO_WIDTH; the zero is
-    the midpoint.
+    One _refine call narrows them all to _ZERO_WIDTH, with _z_round's Z;
+    the zero is the midpoint.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
@@ -549,16 +556,8 @@ def find_zeros(t_min: float, t_max: float,
         values[cells], refine[cells] = _cell_values(a[cells], b[cells],
                                                     fa[cells], delta)
     i = i[refine]
-    a, b, fa, fb = t[i], t[i + 1], z[i], z[i + 1]
-    for _ in range(2):
-        x = a - fa * (b - a) / (fb - fa)
-        fx = _z_batch(x)
-        left = (fx < 0.0) == (fa < 0.0)
-        a, fa = np.where(left, x, a), np.where(left, fx, fa)
-        b, fb = np.where(left, b, x), np.where(left, fb, fx)
-    values[refine] = [0.5 * sum(_refine(riemann_siegel_Z, *e, _ZERO_WIDTH))
-                      for e in zip(a.tolist(), b.tolist(), fa.tolist(),
-                                   fb.tolist())]
+    a, b = _refine(_z_round, t[i], t[i + 1], z[i], z[i + 1], _ZERO_WIDTH)
+    values[refine] = 0.5 * (a + b)
     return EventSequence(values[(values > t_min) & (values <= t_max)])
 
 

@@ -162,12 +162,13 @@ def amplitude_phase(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude and phase columns, one entry per bin.
 
     Phases lie in (-pi, pi]; a zero bin gets phase 0 by convention. Both
-    columns equal the per-bin abs() and math.atan2 bit for bit, which
-    np.abs and np.arctan2 do not, so printed cells stay stable.
+    columns equal the per-bin abs() and math.atan2 (libm's, as is the complex
+    log's phase) bit for bit, so printed cells stay stable; np.abs and
+    np.arctan2 differ.
     """
-    re, im = spectrum.bins.real, spectrum.bins.imag
-    amplitude = np.hypot(re, im)
-    phase = np.frompyfunc(math.atan2, 2, 1)(im, re).astype(float)
+    amplitude = np.hypot(spectrum.bins.real, spectrum.bins.imag)
+    with np.errstate(divide="ignore"):  # log 0 = -inf; its phase is reset
+        phase = np.log(spectrum.bins).imag
     phase[phase == -math.pi] = math.pi
     phase[amplitude == 0.0] = 0.0
     return amplitude, phase

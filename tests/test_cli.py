@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import math
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -70,6 +71,15 @@ def test_emit_none_writes_manifest_only(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == []
     assert all(c["pass"] for c in manifest["checks"])
+
+
+def test_manifest_records_the_python_version(tmp_path):
+    # read from sys.version, from which platform.python_version() parses it
+    out = tmp_path / "out"
+    cp = run_cli("run", "--out", str(out), "--emit", "none", "--t-max", "30")
+    assert cp.returncode == 0, cp.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["python"] == platform.python_version()
 
 
 def test_t_max_next_to_the_least_float(tmp_path):

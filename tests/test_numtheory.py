@@ -201,11 +201,11 @@ def test_sign_route_keeps_every_sign_the_bound_leaves_open(monkeypatch):
     # |Z| <= the bound. The stub reads scalar Z, which takes that route
     # below RS_CROSSOVER; _z_batch would call the stub again
     zeros = find_zeros(200.0, RS_CROSSOVER).events[::40]
-    near = [_refine(riemann_siegel_Z, x - 1e-6, x + 1e-6,
-                    riemann_siegel_Z(x - 1e-6), riemann_siegel_Z(x + 1e-6),
-                    0.0) for x in zeros.tolist()]
+    scalar = np.vectorize(riemann_siegel_Z)
+    near = _refine(scalar, zeros - 1e-6, zeros + 1e-6,
+                   scalar(zeros - 1e-6), scalar(zeros + 1e-6), 0.0)
     gram = _gram_points(np.arange(90, 640, 40))
-    ts = np.sort(np.concatenate([np.ravel(near), gram]))
+    ts = np.sort(np.concatenate([*near, gram]))
     exact = np.array([riemann_siegel_Z(float(t)) for t in ts])
 
     def off(t, tau, m):
@@ -384,10 +384,11 @@ def test_found_zeros_from_200_to_1000_within_half_width_of_a_sign_change():
         assert lo * hi <= 0.0, x
 
 
-def test_refinement_calls_scalar_Z_a_few_times_per_zero(monkeypatch):
-    # the Gram blocks and two regula falsi rounds are batched; only the
-    # last refinement goes through the module attribute, where a caller (or
-    # a tracer) can count it: 5.3 calls per zero
+def test_refinement_calls_scalar_Z_only_on_its_last_small_rounds(monkeypatch):
+    # the Gram blocks are batched, and so is each refinement round over the
+    # open brackets; only a round of at most ten points goes through the
+    # module attribute, where a caller (or a tracer) can count it: 27 calls
+    # for 649 zeros, where one scalar route per bracket made 3423
     calls = []
     scalar = numtheory.riemann_siegel_Z
 
@@ -398,7 +399,7 @@ def test_refinement_calls_scalar_Z_a_few_times_per_zero(monkeypatch):
     monkeypatch.setattr(numtheory, "riemann_siegel_Z", counted)
     found = find_zeros(0.0, 1000.0)
     assert len(found) == nzeros_mpmath(1000.0)
-    assert 0 < len(calls) <= 8 * len(found)
+    assert 0 < len(calls) <= len(found) / 10
 
 
 def test_refine_safeguard_where_regula_falsi_stalls():
@@ -442,6 +443,72 @@ def test_refine_ends_when_no_float_is_left_inside():
     a, b = _refine(f, 0.0, 1.0, f(0.0), f(1.0), 1e-300)
     assert np.nextafter(a, b) == b
     assert f(a) < 0.0 < f(b)
+
+
+def _flat_roots(x):
+    # the fifth power of a triangle wave, with roots at the odd integers,
+    # flat enough that plain regula falsi stalls, so lanes take Illinois and
+    # bisection steps alike; made of correctly rounded operations only, so
+    # a value does not depend on the array it is computed in
+    y = np.abs(x % 4.0 - 2.0) - 1.0
+    return y * (y * y) * (y * y)
+
+
+def _random_brackets(rng, n):
+    a = rng.uniform(0.0, 60.0, n)
+    b = a + rng.uniform(0.01, 5.0, n)
+    keep = (_flat_roots(a) < 0.0) != (_flat_roots(b) < 0.0)
+    return a[keep], b[keep]
+
+
+@pytest.mark.parametrize("width", [1e-9, 0.0])
+def test_refine_lanes_equal_one_call_per_bracket(width):
+    a, b = _random_brackets(np.random.default_rng(36), 400)
+    assert a.size > 100
+    fa, fb = _flat_roots(a), _flat_roots(b)
+    lo, hi = _refine(_flat_roots, a, b, fa, fb, width)
+    one = np.array([_refine(_flat_roots, *e, width)
+                    for e in zip(a, b, fa, fb)])[..., 0].T
+    assert np.array_equal(lo, one[0]) and np.array_equal(hi, one[1])
+    assert np.all(_flat_roots(lo) * _flat_roots(hi) <= 0.0)
+    assert np.all((hi - lo <= width) | (np.nextafter(lo, hi) >= hi))
+
+
+def test_refine_calls_f_on_the_open_lanes_only():
+    a, b = _random_brackets(np.random.default_rng(7), 100)
+    fa, fb = _flat_roots(a), _flat_roots(b)
+    rounds = []  # of each bracket refined on its own
+    for e in zip(a, b, fa, fb):
+        calls = []
+        _refine(lambda x: calls.append(x.size) or _flat_roots(x), *e, 1e-9)
+        assert set(calls) == {1}
+        rounds.append(len(calls))
+    sizes = []
+    _refine(lambda x: sizes.append(x.size) or _flat_roots(x), a, b, fa, fb,
+            1e-9)
+    rounds = np.array(rounds)
+    assert sizes == [np.sum(rounds > r) for r in range(rounds.max())]
+
+
+def test_a_lane_where_f_is_zero_closes_while_the_others_go_on():
+    # the secant point of [-1/2, 1/2] is 0, where sin(pi x) is exactly 0
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(np.pi * x)
+
+    a, b = np.array([0.7, -0.5, 1.8]), np.array([1.6, 0.5, 2.9])
+    fa, fb = np.sin(np.pi * a), np.sin(np.pi * b)
+    lo, hi = _refine(f, a, b, fa, fb, 1e-12)
+    assert lo[1] == hi[1] == 0.0
+    assert np.all(hi - lo <= 1e-12) and np.all(lo[[0, 2]] < hi[[0, 2]])
+    assert sizes[:2] == [3, 2] and max(sizes[1:]) == 2
+
+
+def test_find_zeros_counts_every_zero_to_10000_without_delta():
+    # mpmath.nzeros(10000); every bracket goes through the refinement lanes
+    assert len(find_zeros(0.0, 10000.0)) == 10142
 
 
 def test_lehmer_pair_is_found():

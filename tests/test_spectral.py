@@ -313,6 +313,27 @@ def test_amplitude_phase_columns_equal_per_bin_math():
     assert np.array_equal(phase, want_phase)
 
 
+def test_phase_equals_math_atan2_over_the_whole_float_range():
+    # the phase column is the complex log's imaginary part; it must equal
+    # math.atan2 bit for bit at any magnitude, on both axes and at signed
+    # zeros, compared as int64 views so that -0.0 and 0.0 differ
+    rng = np.random.default_rng(36)
+    n = 10 ** 5
+    re, im = (10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+              * rng.choice([-1.0, 1.0], (2, n)))
+    re[:100], re[100:200] = 0.0, -0.0  # the imaginary axis
+    im[200:300], im[300:400] = 0.0, -0.0  # the real axis
+    re[400:404], im[400:404] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
+    bins = np.empty(n, dtype=complex)
+    bins.real, bins.imag = re, im
+    want = np.array([math.atan2(y, x) for x, y in zip(re.tolist(),
+                                                       im.tolist())])
+    want[want == -math.pi] = math.pi
+    want[np.hypot(re, im) == 0.0] = 0.0
+    _, phase = amplitude_phase(spectrum_from_bins(bins))
+    assert np.array_equal(phase.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Periodicity
 # ---------------------------------------------------------------------------
