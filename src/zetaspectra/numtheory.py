@@ -32,10 +32,11 @@ few sign changes, about 1.25 Z values per zero. Below Rosser's first failure a
 block holds exactly as many zeros as intervals (Lehman 1970; Brent,
 Math. Comp. 33, 1979), so any other count of sign changes raises; only a wrong
 sign of Z that moves a pair within a block goes unseen. Illinois regula falsi
-refines all brackets to 1e-9 in rounds of one Z call on those still open
-(``_z_round``). Given the grid's period delta, most brackets take their zero's
-grid cell from Z's signs at the cell edges: to t = 3000 at delta = 1, all but
-3 of 2469.
+refines all brackets at once, in rounds of one Z call on those still open
+(``_z_round``): to 1e-9, or, given the grid's period delta, on the cell edges
+until a bracket holds none, so its zero's grid cell is known. All but the top
+two brackets and those holding a range end take the second: to t = 3000 at
+delta = 1, all but 2 of 2469.
 """
 
 from __future__ import annotations
@@ -385,8 +386,10 @@ def _z_error(t):
 # Zero location
 # ---------------------------------------------------------------------------
 
-def _refine(f, a, b, fa, fb, width) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink each bracket [a, b] of a sign change of f to width <= width.
+def _refine(f, a, b, fa, fb, width, delta=None,
+            cell=False) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each bracket [a, b] of a sign change of f to width <= width,
+    or, for a cell lane, until it holds no cell edge.
 
     Brackets are lanes of arrays, each refined on its own; each round calls f
     once, on the points of the lanes still open. Needs a < b and fa < 0 <= fb
@@ -401,26 +404,46 @@ def _refine(f, a, b, fa, fb, width) -> tuple[np.ndarray, np.ndarray]:
     early once no float lies strictly inside its bracket, so a width below
     the float spacing ends too. Returns the final brackets, which hold the
     sign changes; (x, x) where f(x) == 0 exactly.
+
+    Given the grid period delta, the lanes where cell is true step on the
+    cell edges (k - 1/2) delta strictly inside them, k in lo..hi: each point
+    moves to the edge nearest it, and lo or hi moves past that edge, so a
+    lane with k edges takes at most k values and ends holding no edge, in
+    one cell. An edge where |f| <= _z_error, a Z sign in doubt, makes its
+    lane a width lane; so does an end past 2^51 cells.
     """
     a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (a, b, fa, fb))
     # the end the last step kept; the width before the latest Illinois steps
     kept_b, start, steps = np.abs(fb) >= np.abs(fa), b - a, np.zeros(a.size)
+    # a lane steps past an edge by k + 1, exact below 2^51 cells
+    cell = np.broadcast_to(cell, a.shape) & (b < 2.0 ** 51 * (delta or 0.0))
+    delta = delta if cell.any() else 1.0  # so a/delta cannot overflow
+    # The edges inside. Rounded, each quotient may count one edge on or just
+    # past an end, but misses none inside: test that one as points are placed.
+    lo, hi = 1.0 - np.floor(0.5 - a / delta), np.floor(b / delta + 0.5)
+    lo += (lo - 0.5) * delta <= a
+    hi -= (hi - 0.5) * delta >= b
     i = np.arange(a.size)  # the open lanes
-    while (i := i[(b[i] - a[i] > width)
-                  & (np.nextafter(a[i], b[i]) < b[i])]).size:
-        ai, bi, fai, fbi = a[i], b[i], fa[i], fb[i]
+    while (i := i[np.where(cell[i], lo[i] <= hi[i], (b[i] - a[i] > width)
+                           & (np.nextafter(a[i], b[i]) < b[i]))]).size:
+        ai, bi, fai, fbi, ci = a[i], b[i], fa[i], fb[i], cell[i]
         bisect = steps[i] == 2
         x = np.where(bisect, 0.5 * (ai + bi),
                      ai + (bi - ai) * (fai / (fai - fbi)))
         # Once an end sits on the root to rounding, the secant point lands on
         # that end again; a point width/2 inside it can end the search.
         x = np.minimum(np.maximum(x, ai + 0.5 * width), bi - 0.5 * width)
+        k = np.minimum(np.maximum(np.floor(x / delta + 1.0), lo[i]), hi[i])
+        x = np.where(ci, (k - 0.5) * delta, x)
         fx = f(x)
         left = (fx < 0.0) == (fai < 0.0)
         halve = np.where(left == kept_b[i], 0.5, 1.0)  # the end kept twice
         a[i], fa[i] = np.where(left, x, ai), np.where(left, fx, halve * fai)
         b[i], fb[i] = np.where(left, bi, x), np.where(left, halve * fbi, fx)
         a[i[fx == 0.0]] = b[i[fx == 0.0]] = x[fx == 0.0]
+        lo[i[left]], hi[i[~left]] = k[left] + 1, k[~left] - 1
+        if ci.any():
+            cell[i[ci]] = np.abs(fx[ci]) > _z_error(x[ci])
         kept_b[i], steps[i] = left, steps[i] + 1
         reset = i[bisect | (b[i] - a[i] <= 0.5 * start[i])]
         start[reset], steps[reset] = b[reset] - a[reset], 0
@@ -438,8 +461,6 @@ def _z_round(ts: np.ndarray) -> np.ndarray:
 
 # Halving rounds a Gram block may take; up to t = 30000 none takes over five.
 _HALVINGS = 8
-# Brackets narrower than this many grid cells may take cells from edge signs.
-_CELL_EDGES = 8
 _ZERO_WIDTH = 1e-9  # of each zero's final bracket
 _ROSSER_FAILS = 13_999_525  # Gram point where Rosser's rule first fails
 
@@ -504,24 +525,6 @@ def _sign_changes(t_min: float, t_max: float, pad: int = 8):
         ends = np.insert(ends, split, False)
 
 
-def _cell_values(a, b, fa, delta):
-    """For brackets [a, b] of a zero each, from Z at the cell edges (k - 1/2)
-    delta inside them (one _z_batch call): the midpoint of the part in the
-    cell floor(x/delta + 1/2) where the sign flips, and whether an edge's
-    |Z| is at most _z_error, which leaves its sign in doubt.
-    """
-    first = np.floor(a / delta + 0.5)
-    count = (np.floor(b / delta + 0.5) - first).astype(int)  # edges inside
-    owner = np.repeat(np.arange(a.size), count)
-    k = (first + 1 - count.cumsum() + count)[owner] + np.arange(owner.size)
-    te = (k - 0.5) * delta
-    fe = _z_batch(te)
-    cell = first + np.bincount(owner, (fe < 0.0) == (fa[owner] < 0.0), a.size)
-    doubt = np.bincount(owner, np.abs(fe) <= _z_error(te), a.size) > 0
-    return 0.5 * (np.maximum(a, (cell - 0.5) * delta)
-                  + np.minimum(b, (cell + 0.5) * delta)), doubt
-
-
 def find_zeros(t_min: float, t_max: float,
                delta: float | None = None) -> EventSequence:
     """Zero ordinates in (t_min, t_max], bracketed by sign changes of Z.
@@ -529,15 +532,16 @@ def find_zeros(t_min: float, t_max: float,
     The brackets come from Gram blocks (_sign_changes: exactly one sign
     change per zero, or MissedZeroError), whatever the ends, so (t_min,
     t_max] holds exactly the zeros of (0, B] in it, for any B >= t_max.
-    One _refine call narrows them all to _ZERO_WIDTH, with _z_round's Z;
-    the zero is the midpoint.
+    One _refine call narrows them all, with _z_round's Z; each value is its
+    bracket's midpoint. Without delta every bracket is narrowed to
+    _ZERO_WIDTH.
 
     With delta, the grid's period, every value lies in its zero's cell
     floor(x/delta + 1/2) and in (t_min, t_max], and the largest value is an
     ordinate; the others need not be, so the grid and series at delta are
-    those of the ordinates. A bracket narrower than _CELL_EDGES cells takes
-    its value from _cell_values, unless it holds t_min or t_max, an edge
-    value is in doubt, or it is one of the top two brackets.
+    those of the ordinates. Every bracket is a cell lane of _refine, which
+    stops once it holds no cell edge, except the top two and one that holds
+    t_min or t_max: these are narrowed to _ZERO_WIDTH.
     """
     if not 0.0 <= t_min < t_max < math.inf:
         raise DomainError(
@@ -547,17 +551,11 @@ def find_zeros(t_min: float, t_max: float,
 
     t, z, change = _sign_changes(t_min, max(t_max, _GRAM_START))
     i = np.flatnonzero(change & (t[1:] > t_min) & (t[:-1] < t_max))
-    a, b, fa = t[i], t[i + 1], z[i]
-    values = np.empty(i.size)
-    refine = np.ones(i.size, dtype=bool)
-    if delta is not None:
-        cells = (b - a < _CELL_EDGES * delta) & (a >= t_min) & (b <= t_max)
-        cells[-2:] = False  # the top bracket's zero may lie above t_max
-        values[cells], refine[cells] = _cell_values(a[cells], b[cells],
-                                                    fa[cells], delta)
-    i = i[refine]
-    a, b = _refine(_z_round, t[i], t[i + 1], z[i], z[i + 1], _ZERO_WIDTH)
-    values[refine] = 0.5 * (a + b)
+    a, b = t[i], t[i + 1]
+    cell = (a >= t_min) & (b <= t_max)
+    cell[-2:] = False  # the top bracket's zero may lie above t_max
+    a, b = _refine(_z_round, a, b, z[i], z[i + 1], _ZERO_WIDTH, delta, cell)
+    values = 0.5 * (a + b)
     return EventSequence(values[(values > t_min) & (values <= t_max)])
 
 

@@ -65,6 +65,16 @@ def test_compare_flags_a_bound_a_slower_layer_and_a_correct_flip(
     assert "4 flagged" in out
 
 
+def test_compare_does_not_flag_a_layer_below_the_time_floor(tmp_path):
+    # 0.5 ms -> 0.65 ms is 30% slower, but both times stay below 1 ms
+    a = bench_file(tmp_path / "a.json", "parent", wall=0.040, layer=0.0005)
+    b = bench_file(tmp_path / "b.json", "change", wall=0.040, layer=0.00065)
+    status, out = compare(a, b)
+    assert status == 0 and "0 flagged" in out
+    rows = [ln for ln in out.splitlines() if "numtheory.find_zeros_s" in ln]
+    assert len(rows) == 2 and all(ln.endswith(" 1.300") for ln in rows)
+
+
 def test_compare_needs_a_label_where_a_file_holds_several(parent, tmp_path):
     data = json.loads(parent.read_text())
     data["runs"]["change"] = data["runs"]["parent"]

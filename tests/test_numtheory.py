@@ -15,7 +15,7 @@ from zetaspectra import (DomainError, EventSequence, GridSpec,
 
 from zetaspectra.numtheory import (_BERNOULLI_RATIOS, _EM_TERMS,
                                    RS_CROSSOVER, _GRAM_START, _RS_PROVEN,
-                                   _Z_BLOCK_TERMS, _ZERO_WIDTH, _cell_values,
+                                   _Z_BLOCK_TERMS, _ZERO_WIDTH,
                                    _em_cutoff, _gram_points, _refine,
                                    _rs_terms, _z_batch, _z_error)
 
@@ -506,6 +506,74 @@ def test_a_lane_where_f_is_zero_closes_while_the_others_go_on():
     assert sizes[:2] == [3, 2] and max(sizes[1:]) == 2
 
 
+def _triangle(x):
+    # a triangle wave with roots at the odd integers; an edge (k - 1/2)
+    # delta at delta 0.07 or 0.3 lies at least 0.005 from a root, where
+    # |f| is far above _z_error, so no edge is in doubt
+    return np.abs(x % 4.0 - 2.0) - 1.0
+
+
+def _edges_inside(a, b, delta):
+    k = np.arange(math.floor(a / delta) - 2, math.ceil(b / delta) + 3)
+    return np.count_nonzero(((k - 0.5) * delta > a) & ((k - 0.5) * delta < b))
+
+
+@pytest.mark.parametrize("delta", [0.07, 0.3])
+def test_cell_lanes_step_on_edges_and_stop_in_their_cell(delta):
+    rng = np.random.default_rng(37)
+    a = rng.uniform(12.0, 60.0, 300)
+    b = a + rng.uniform(0.01, 1.9, 300)  # at most one root, 2 apart
+    keep = (_triangle(a) < 0.0) != (_triangle(b) < 0.0)
+    a, b = a[keep], b[keep]
+    fa, fb = _triangle(a), _triangle(b)
+    root = 2.0 * np.floor(0.5 * (a + 1.0)) + 1.0  # the odd integer above a
+    assert np.all(root < b) and a.size > 100
+    for e in zip(a, b, fa, fb):
+        points = []
+        lo, hi = _refine(lambda x: points.extend(x) or _triangle(x), *e,
+                         1e-9, delta, True)
+        k = np.round(np.array(points) / delta + 0.5)
+        assert np.array_equal((k - 0.5) * delta, points)
+        assert len(points) <= _edges_inside(e[0], e[1], delta)
+        assert _edges_inside(lo[0], hi[0], delta) == 0
+    # cell lanes among width lanes: each root lies in its lane's final
+    # bracket, and the width lanes end as without delta
+    cell = rng.uniform(size=a.size) < 0.5
+    lo, hi = _refine(_triangle, a, b, fa, fb, 1e-9, delta, cell)
+    assert np.all((lo <= root) & (root <= hi))
+    assert all(_edges_inside(x, y, delta) == 0
+               for x, y in zip(lo[cell], hi[cell]))
+    width = _refine(_triangle, a[~cell], b[~cell], fa[~cell], fb[~cell], 1e-9)
+    assert np.array_equal(lo[~cell], width[0])
+    assert np.array_equal(hi[~cell], width[1])
+
+
+def test_an_end_on_a_cell_edge_is_not_inside():
+    # ends on the edges k = 165 and 167 of delta 0.1, where the rounded
+    # quotients count each end as an edge inside; a root 0.01 from an end
+    # draws the secant point to that end, but the one edge inside, k = 166,
+    # is the only point read. [e165, e166] reads none
+    edge = (np.array([165.0, 166.0, 167.0]) - 0.5) * 0.1
+    assert 1 - math.floor(0.5 - edge[0] / 0.1) == 165
+    assert math.floor(edge[2] / 0.1 + 0.5) == 167
+    for top, root, calls in ((edge[1], edge[0] + 0.01, 0),
+                             (edge[2], edge[0] + 0.01, 1),
+                             (edge[2], edge[2] - 0.01, 1)):
+        points = []
+        lo, hi = _refine(lambda x: points.extend(x) or x - root, edge[0],
+                         top, edge[0] - root, top - root, 1e-9, 0.1, True)
+        assert points == [edge[1]] * calls
+        assert lo[0] < root < hi[0] and hi[0] - lo[0] < 0.11
+
+
+@pytest.mark.parametrize("delta", [1e-15, 1e-300, 5e-324])
+def test_a_grid_too_fine_for_exact_edge_indices_has_no_cell_lanes(delta):
+    # past 2^51 cells k + 1 may round to k, so a lane could not step past
+    # an edge; every bracket is refined to 1e-9, as without delta
+    assert np.array_equal(find_zeros(0.0, 100.0, delta).events,
+                          find_zeros(0.0, 100.0).events)
+
+
 def test_find_zeros_counts_every_zero_to_10000_without_delta():
     # mpmath.nzeros(10000); every bracket goes through the refinement lanes
     assert len(find_zeros(0.0, 10000.0)) == 10142
@@ -564,12 +632,12 @@ def test_zeros_do_not_depend_on_where_the_range_ends(a, b, zeros_3000):
 @pytest.mark.parametrize("t_max", [100.0, 1e3, 3e3])
 def test_cell_rule_gives_the_grid_and_series_of_full_refinement(t_max,
                                                                 zeros_3000):
-    # at delta 0.1 and 0.05 a bracket about 1 wide holds more than
-    # _CELL_EDGES edges above t = 1000 and is refined; from delta 2 on the
-    # first bracket [g_-1, g_0], 8.2 wide, takes its cell from Z at the
-    # edges inside it, the lowest points the batch is ever asked for
+    # every bracket but the top two steps on the cell edges inside it: at
+    # most two at delta 5, about a hundred at delta 0.01 above t = 1000; the
+    # first bracket [g_-1, g_0], 8.2 wide, reads Z at edges from 12.5 up in
+    # its first round's batch, the lowest refinement points there are
     ordinates = EventSequence(zeros_3000[zeros_3000 <= t_max])
-    for delta in (5.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05):
+    for delta in (5.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.01):
         values = find_zeros(0.0, t_max, delta=delta)
         grid = GridSpec.for_events(values, delta=delta)
         assert grid == GridSpec.for_events(ordinates, delta=delta)
@@ -640,18 +708,18 @@ def test_sign_route_changes_no_count_and_no_cell(monkeypatch, zeros_3000):
             assert got[-1] == want[-1]
 
 
-def test_cell_edge_within_the_error_bound_is_in_doubt(monkeypatch):
+def test_cell_edge_within_the_error_bound_is_in_doubt():
     # near t = 6.5e6 _z_error is about 1.2e-6: an edge reading |Z| = 1.1e-6
-    # has a sign the bound leaves open, so its bracket must be refined,
-    # while one reading 1.5e-6 takes its cell from the signs
-    a, b, fa = np.array([6.5e6 + 0.12]), np.array([6.5e6 + 0.38]), -np.ones(1)
+    # has a sign the bound leaves open, so its lane is refined to
+    # _ZERO_WIDTH, while at 1.5e-6 it stops in its cell, with no edge inside
+    a, b = 6.5e6 + 0.12, 6.5e6 + 0.38
     assert 1.1e-6 < _z_error(6.5e6 + 0.25) < 1.5e-6
     for size, doubt in ((1.1e-6, True), (1.5e-6, False)):
-        monkeypatch.setattr(numtheory, "_z_batch",
-                            lambda ts, size=size: np.full(ts.shape, size))
-        value, flagged = _cell_values(a, b, fa, 0.1)
-        assert flagged.tolist() == [doubt], size
-        assert math.floor(value[0] / 0.1 + 0.5) == 65_000_001
+        lo, hi = _refine(lambda ts, size=size: np.full(ts.shape, size),
+                         a, b, -1.0, 1.0, _ZERO_WIDTH, 0.1, True)
+        assert (hi[0] - lo[0] <= _ZERO_WIDTH) == doubt, size
+        assert math.floor(0.5 * (lo[0] + hi[0]) / 0.1 + 0.5) == 65_000_001
+    assert (lo[0], hi[0]) == (a, (65_000_002 - 0.5) * 0.1)
 
 
 def test_gram_points_against_multiprecision():

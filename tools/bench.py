@@ -33,7 +33,9 @@ the recording process holds them (None where unset), which the jobs inherit.
 prints each metric's ratio B / A, flagging
 
 * BOUND: an end-to-end metric worse than its BENCHMARK.json bound,
-* SLOWER: a layer's time more than 10% slower (not the trace.* figures),
+* SLOWER: a layer's time more than 10% slower, where the slower of its two
+  times is at least LAYER_FLOOR (1 ms): a layer of microseconds spreads
+  wider than that from run to run (not the trace.* figures),
 * CORRECT: a run whose `correct` differs.
 
 It exits 1 when anything is flagged and 0 otherwise. A single run per side
@@ -61,6 +63,7 @@ SERIES = {
 SEED = 1  # perfbench's job seed, the same for every run
 SECONDS = 10.0  # each run's length
 LAYER_SLOWER = 1.10  # the largest ratio a layer's time may show unflagged
+LAYER_FLOOR = 1e-3  # s; a layer whose times both stay below it is not flagged
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -144,16 +147,18 @@ def load_run(spec: str) -> tuple[str, dict]:
     return f"{path}:{label}", runs[label]
 
 
-def flag(metric: dict, ratio: float | None) -> str:
-    """BOUND or SLOWER when ratio B / A breaks the metric's limit; the
-    tracer's own trace.* figures are not layers."""
+def flag(metric: dict, ratio: float | None, slower: float) -> str:
+    """BOUND or SLOWER when ratio B / A breaks the metric's limit, SLOWER
+    only where the slower time is at least LAYER_FLOOR; the tracer's own
+    trace.* figures are not layers."""
     if ratio is None or metric["name"].startswith("trace."):
         return ""
     if metric["better"] == "higher":
         ratio = 1.0 / ratio if ratio else float("inf")
     if "bound" in metric:
         return "BOUND" if ratio > 1.0 + metric["bound"] else ""
-    return "SLOWER" if metric["unit"] == "s" and ratio > LAYER_SLOWER else ""
+    return ("SLOWER" if metric["unit"] == "s" and ratio > LAYER_SLOWER
+            and slower >= LAYER_FLOOR else "")
 
 
 def compare(args: argparse.Namespace) -> int:
@@ -179,7 +184,8 @@ def compare(args: argparse.Namespace) -> int:
                 va = ra["metrics"][name]["value"]
                 vb = rb["metrics"][name]["value"]
                 ratio = vb / va if va else (1.0 if vb == va else None)
-                mark = flag(metrics[name], ratio) if name in metrics else ""
+                mark = (flag(metrics[name], ratio, max(va, vb))
+                        if name in metrics else "")
                 flagged += bool(mark)
                 shown = "-" if ratio is None else f"{ratio:.3f}"
                 print(f"  {name:<32} {va:>12.6g} {vb:>12.6g} {shown:>7} "
