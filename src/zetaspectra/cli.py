@@ -29,8 +29,8 @@ from .grid import GridSpec, MangoldtSeries, build_series
 from .numtheory import (DomainError, EventSequence, MissedZeroError,
                         _integer, find_zeros, load_zeros, sieve_primes,
                         synthetic_train)
-from .spectral import (MAX_LENGTH, conjugate_symmetry_check, dft,
-                       parseval_check, periodicity_check)
+from .spectral import (conjugate_symmetry_check, dft, parseval_check,
+                       periodicity_check)
 
 EMIT_CHOICES = ("series", "spectrum", "spiral", "peaks", "recon", "ratios", "pnt")
 SOURCES = ("zeros-computed", "zeros-file", "primes", "synthetic")
@@ -74,11 +74,8 @@ class RunConfig:
         self.limit = _integer("limit", self.limit)
         if self.limit < 2:
             raise DomainError(f"limit must be >= 2, got {self.limit}")
-        if self.length is not None:
+        if self.length is not None:  # GridSpec, in run, refuses its range
             self.length = _integer("length", self.length)
-            if not 2 <= self.length <= MAX_LENGTH:
-                raise DomainError(f"length must be in 2..{MAX_LENGTH}, got "
-                                  f"{self.length}")
         unknown = set(self.emit) - set(EMIT_CHOICES)
         if unknown:
             raise DomainError(f"unknown emit names: {sorted(unknown)}")
@@ -135,15 +132,15 @@ def _checks(series: MangoldtSeries, spectrum, config: RunConfig) -> list:
 def run(config: RunConfig) -> int:
     """Compute, then log, then write; returns the process exit status."""
     config.validate()
-    events, what = _build_events(config)
+    # no zero, prime or train is made for a grid too long for the bound
     if config.length is not None:
         grid = GridSpec(delta=config.delta, length=config.length)
-    else:
+    elif config.source != "zeros-file":  # a table's grid waits for the table
+        top = config.limit if config.source == "primes" else config.bound
+        GridSpec.for_events(EventSequence([top]), delta=config.delta)
+    events, what = _build_events(config)
+    if config.length is None:
         grid = GridSpec.for_events(events, delta=config.delta)
-        if grid.length > MAX_LENGTH:  # so is --length, in validate
-            raise DomainError(f"delta {config.delta} makes the grid longer "
-                              f"than {MAX_LENGTH} samples (int64 phases): "
-                              "raise --delta or set --length")
     series = build_series(events, grid)
     spectrum = dft(series)
     # before the writers fragment the heap: the inverse FFT's temporaries

@@ -11,6 +11,9 @@ from .numtheory import DomainError, EventSequence, _integer
 
 __all__ = ["GridSpec", "MangoldtSeries", "build_series"]
 
+# isqrt(2^63 - 1): the literal sum reduces each phase (m mod N) k in int64
+MAX_LENGTH = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -25,15 +28,17 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
             raise DomainError(f"delta must be finite and > 0, got {self.delta}")
-        if _integer("length", self.length) < 2:
-            raise DomainError(f"length must be >= 2, got {self.length}")
+        if not 2 <= _integer("length", self.length) <= MAX_LENGTH:
+            raise DomainError(f"length must be in 2..{MAX_LENGTH}, got "
+                              f"{self.length}")
 
     @classmethod
     def for_events(cls, events: EventSequence, delta: float = 1.0) -> "GridSpec":
         """Smallest grid covering every event: length ceil(max/delta)+1."""
         top = float(events.events[-1]) if len(events) else 0.0
-        if top / delta == math.inf:
-            raise DomainError(f"grid length {top} / {delta} is not finite")
+        if not top / delta < MAX_LENGTH:
+            raise DomainError(f"delta {delta} makes the grid to {top} longer "
+                              f"than {MAX_LENGTH} samples")
         return cls(delta=delta, length=max(2, int(math.ceil(top / delta)) + 1))
 
     def locations(self) -> np.ndarray:

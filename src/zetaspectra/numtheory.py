@@ -156,16 +156,11 @@ _EM_TERMS = 16
 # RS_CROSSOVER, worst at t = 50, against ~1e-12 of rounding.
 _EM_M_FACTOR = 0.4
 
-_n_cache = np.empty((2, 0))
-
 
 def _n_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """log n and n^-1/2 for n = 1..m, from a cache that grows by doubling."""
-    global _n_cache
-    if m > _n_cache.shape[1]:
-        n = np.arange(1, max(64, 2 * m), dtype=float)
-        _n_cache = np.stack([np.log(n), 1.0 / np.sqrt(n)])
-    return _n_cache[0, :m], _n_cache[1, :m]
+    """log n and n^-1/2 for n = 1..m."""
+    n = np.arange(1, m + 1, dtype=float)
+    return np.log(n), 1.0 / np.sqrt(n)
 
 
 def _cos_sum(t, theta, m):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, MangoldtSeries
+from .grid import MAX_LENGTH, GridSpec, MangoldtSeries
 from .numtheory import DomainError, _integer
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "parseval_check",
 ]
 
-# isqrt(2^63 - 1): the literal sum reduces each phase (m mod N) k in int64
-MAX_LENGTH = 3_037_000_499
 # periodicity_check reads at most this many bin x mark terms
 PERIODICITY_TERMS = 2 ** 25
 

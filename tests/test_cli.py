@@ -210,8 +210,9 @@ def test_usage_errors_exit_2(tmp_path):
     ("--source", "zeros-file", "--zero-file", "UNDECODABLE"),
     ("--source", "primes", "--limit", "10", "--delta", "1e-320"),
     ("--source", "synthetic", "--gap", "1e-300"),
-    ("--source", "primes", "--limit", "100000000000000000000"),
-    ("--t-max", "1e15"),
+    ("--source", "primes", "--limit", "100000000000000000000", "--delta",
+     "1e11"),
+    ("--t-max", "1e15", "--delta", "1e6"),
     # argparse's own errors take the same path as a refused configuration
     ("--source", "nonsense"),
     ("--limit", "2.5"),
@@ -227,6 +228,9 @@ def test_usage_errors_exit_2(tmp_path):
         "limit-not-int", "z-not-int", "k-not-int", "option-unknown",
         "no-command"])
 def test_bad_input_exits_2_before_any_output(args, tmp_path):
+    # a grid coarse enough to pass leaves these two to their own rules
+    rule = {("--delta", "1e11"): "sieve limit",
+            ("--delta", "1e6"): "Rosser's rule"}.get(args[-2:], "")
     tables = {"MALFORMED": tmp_path / "zeros.txt",
               "UNDECODABLE": tmp_path / "zeros-utf16.txt"}
     tables["MALFORMED"].write_text("14.1\nnot-a-number\n")
@@ -236,7 +240,7 @@ def test_bad_input_exits_2_before_any_output(args, tmp_path):
     cp = run_cli(*(["run", *args, "--out", str(out)] if args else []))
     assert cp.returncode == 2
     assert len(cp.stderr.splitlines()) == 1, cp.stderr
-    assert cp.stderr.startswith("usage error: ")
+    assert cp.stderr.startswith("usage error: ") and rule in cp.stderr
     assert not out.exists()
 
 
@@ -331,21 +335,27 @@ def _no_series(*args, **kwargs):
 
 
 @pytest.mark.parametrize("args, option", [
-    (("--delta", "1e-300"), "--delta"),
-    (("--source", "primes", "--limit", "10", "--delta", "1e-300"), "--delta"),
+    (("--delta", "1e-300"), "delta"),
+    (("--t-max", "100000", "--delta", "1e-300"), "delta"),
+    (("--source", "primes", "--limit", "10", "--delta", "1e-300"), "delta"),
+    (("--source", "primes", "--limit", "10000000000"), "delta"),
+    (("--source", "synthetic", "--gap", "1", "--t-max", "1e10"), "delta"),
     (("--source", "primes", "--limit", "10", "--length", "3037000500"),
      "length"),
     (("--source", "synthetic", "--gap", "1", "--length", "3037000500"),
      "length"),
-], ids=["delta", "primes-delta", "primes-length", "synthetic-length"])
+], ids=["delta", "zeros-delta", "primes-delta", "primes-limit",
+        "synthetic-t-max", "primes-length", "synthetic-length"])
 def test_a_grid_too_long_is_refused_before_any_allocation(args, option,
                                                          tmp_path,
                                                          monkeypatch, capsys):
     # more than isqrt(2^63 - 1) samples: the literal sum's phases would
-    # leave int64. The refusal names the grid's option, not the --z values,
-    # and comes before the series or a synthetic train (GBs here) is built.
-    monkeypatch.setattr(cli, "build_series", _no_series)
-    monkeypatch.setattr(cli, "synthetic_train", _no_series)
+    # leave int64. GridSpec's refusal names the grid, not the --z values,
+    # and comes before any zero, prime or train (GBs here) is made. Left
+    # unpatched, a run that missed it would sieve or fill gigabytes.
+    for builder in ("find_zeros", "sieve_primes", "synthetic_train",
+                    "build_series"):
+        monkeypatch.setattr(cli, builder, _no_series)
     out = tmp_path / "out"
     assert main(["run", *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err

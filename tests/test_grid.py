@@ -5,6 +5,7 @@ import pytest
 
 from zetaspectra import (DomainError, EventSequence, GridSpec, MangoldtSeries,
                          build_series)
+from zetaspectra.grid import MAX_LENGTH
 
 from conftest import ZEROS_BELOW_100_MARKS, ZEROS_BELOW_100
 
@@ -56,8 +57,20 @@ def test_gridspec_for_events_default_rule():
 
 def test_gridspec_for_events_refuses_a_length_that_is_not_finite():
     # 7 / 1e-320 overflows to inf, which no sample count can hold
-    with pytest.raises(DomainError, match="not finite"):
+    with pytest.raises(DomainError, match="longer than 3037000499 samples"):
         GridSpec.for_events(events_of([7.0]), delta=1e-320)
+
+
+def test_gridspec_refuses_a_length_past_max_length():
+    # a GridSpec allocates nothing, so the longest grid costs nothing here
+    assert GridSpec(1.0, MAX_LENGTH).length == 3_037_000_499
+    with pytest.raises(DomainError, match="2..3037000499"):
+        GridSpec(1.0, MAX_LENGTH + 1)
+    # an event at MAX_LENGTH - 1 needs the longest grid, one at MAX_LENGTH
+    # a sample more
+    assert GridSpec.for_events(events_of([3037000498.0])).length == MAX_LENGTH
+    with pytest.raises(DomainError, match="longer than"):
+        GridSpec.for_events(events_of([3037000499.0]))
 
 
 def test_gridspec_locations():
